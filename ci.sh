@@ -366,8 +366,8 @@ cargo test -q
 echo "==> lint: cargo fmt --check"
 cargo fmt --check
 
-echo "==> lint: cargo clippy --all-targets -- -D warnings"
-cargo clippy --all-targets -- -D warnings
+echo "==> lint: cargo clippy --workspace --all-targets -- -D warnings"
+cargo clippy --workspace --all-targets -- -D warnings
 
 manifest_check
 faults_check

@@ -136,7 +136,7 @@ mod tests {
 
     #[test]
     fn borrows_from_the_caller_are_usable() {
-        let base = vec![10u64, 20, 30];
+        let base = [10u64, 20, 30];
         let items = [0usize, 1, 2];
         let out = parallel_map(&items, |&i| base[i] + 1);
         assert_eq!(out, vec![11, 21, 31]);

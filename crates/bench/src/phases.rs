@@ -249,7 +249,7 @@ mod tests {
         // at the same reference boundaries.
         for beta in [8, 22] {
             let mut cpu = simcpu::Cpu::new(phase_config(beta));
-            let mut trace = phased_trace(0x9A5E).into_iter();
+            let mut trace = phased_trace(0x9A5E);
             let mut refs = 0;
             for instr in trace.by_ref() {
                 cpu.step(&instr);

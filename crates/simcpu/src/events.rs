@@ -35,9 +35,8 @@
 use crate::config::{CpuConfig, Prefetch, StallFeature};
 use crate::result::SimResult;
 use simcache::{Cache, CacheConfig, CacheStats, WriteMiss, WritePolicy};
-use simmem::{FillSchedule, MemoryTiming, WriteBuffer};
+use simmem::{FillSchedule, WriteBuffer};
 use simtrace::{Addr, Instr};
-use std::collections::VecDeque;
 
 /// One allocating fill: the timeline's unit of timing work.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -363,14 +362,64 @@ pub struct TimelineCpu<'a> {
     cfg: CpuConfig,
 }
 
+/// The replay's in-flight fills, oldest first: `buf[head..]`.
+///
+/// Fills complete in FIFO order, so retiring one only advances `head`,
+/// and the live fills are one slice the NB conflict check scans
+/// directly. Measured on the replay, this beats a `VecDeque`, whose
+/// ring-index arithmetic sits on every per-echo front check.
+#[derive(Default)]
+struct FillQueue {
+    buf: Vec<FillSchedule>,
+    head: usize,
+}
+
+impl FillQueue {
+    /// Retired fills kept before the dead prefix is dropped.
+    const SLACK: usize = 32;
+
+    fn live(&self) -> &[FillSchedule] {
+        &self.buf[self.head..]
+    }
+
+    fn front(&self) -> Option<&FillSchedule> {
+        self.buf.get(self.head)
+    }
+
+    fn back(&self) -> Option<&FillSchedule> {
+        self.live().last()
+    }
+
+    fn len(&self) -> usize {
+        self.buf.len() - self.head
+    }
+
+    fn pop_front(&mut self) {
+        debug_assert!(self.head < self.buf.len(), "no fill in flight");
+        self.head += 1;
+    }
+
+    fn push_back(&mut self, fill: FillSchedule) {
+        // Drop the retired prefix once it outgrows both the slack and
+        // the live fills, so each live fill is moved O(1) times.
+        if self.head >= Self::SLACK.max(self.len()) {
+            self.buf.drain(..self.head);
+            self.head = 0;
+        }
+        self.buf.push(fill);
+    }
+}
+
 /// Scalar replay state: everything `Cpu` tracks that timing depends on.
 struct ReplayState {
     cycle: u64,
     /// Instructions accounted into `cycle` so far.
     instr: u64,
     mem_free_at: u64,
-    fills: VecDeque<FillSchedule>,
+    fills: FillQueue,
     wbuf: Option<WriteBuffer>,
+    /// Cycles to write one victim line back; fixed by the configuration.
+    line_write_time: u64,
     miss_stall: u64,
     flush_stall: u64,
 }
@@ -381,10 +430,11 @@ impl ReplayState {
             cycle: 0,
             instr: 0,
             mem_free_at: 0,
-            fills: VecDeque::new(),
+            fills: FillQueue::default(),
             wbuf: cfg
                 .write_buffer
                 .map(|wc| WriteBuffer::new(wc.capacity, cfg.timing.beta_m(), wc.mode)),
+            line_write_time: cfg.timing.line_write_time(cfg.dcache.line_bytes()),
             miss_stall: 0,
             flush_stall: 0,
         }
@@ -411,6 +461,7 @@ impl ReplayState {
     /// `Cpu::conflict_stall`, with the residency question answered by
     /// the timeline instead of the cache: an echo's line is always
     /// resident, an event's never is.
+    #[inline(always)] // per scanned echo; see `scan_echoes`
     fn conflict_stall(&mut self, stall: StallFeature, addr: Addr, resident: bool) {
         let now = self.cycle;
         let mut stall_until = now;
@@ -460,6 +511,7 @@ impl ReplayState {
             StallFeature::NonBlocking { .. } => {
                 if let Some(f) = self
                     .fills
+                    .live()
                     .iter()
                     .find(|f| !f.is_complete(now) && f.covers(addr))
                 {
@@ -475,6 +527,7 @@ impl ReplayState {
 
     /// One hit access at instruction `instr`: base cycle plus any
     /// fill-conflict stall.
+    #[inline(always)] // per scanned echo; see `scan_echoes`
     fn process_echo(&mut self, stall: StallFeature, instr: u64, addr: Addr) {
         self.advance(instr);
         self.retire_fills();
@@ -520,23 +573,29 @@ impl ReplayState {
         self.miss_stall += end - self.cycle + 1;
         self.cycle = end;
 
-        if event.writeback {
-            self.handle_flush(&cfg.timing, line_bytes, sched.complete_at());
-        }
+        self.handle_flush(event.writeback, sched.complete_at());
         self.fills.push_back(sched);
     }
 
-    fn handle_flush(&mut self, timing: &MemoryTiming, line_bytes: u64, fill_complete: u64) {
-        let service = timing.line_write_time(line_bytes);
+    /// Posts the dirty victim's flush behind the fill that just started.
+    fn handle_flush(&mut self, writeback: bool, fill_complete: u64) {
         match &mut self.wbuf {
             Some(wb) => {
-                let stall = wb.enqueue(fill_complete, service);
-                self.mem_free_at += stall;
+                if writeback {
+                    self.mem_free_at += wb.enqueue(fill_complete, self.line_write_time);
+                }
             }
             None => {
+                // The port is free exactly when the fill completes, so the
+                // flush delays the CPU, its stall count and the port by one
+                // service time — zero for a clean victim. Adding it
+                // unconditionally spares a branch on the write-back flag,
+                // which varies from miss to miss and mispredicts often.
+                debug_assert_eq!(self.mem_free_at, fill_complete);
+                let service = self.line_write_time * u64::from(writeback);
                 self.flush_stall += service;
                 self.cycle += service;
-                self.mem_free_at = self.mem_free_at.max(fill_complete) + service;
+                self.mem_free_at += service;
             }
         }
     }
@@ -557,6 +616,11 @@ impl ReplayState {
     /// a stall grows the lag, shrinking the cutoff, and the walk
     /// resumes with a fresh cut. Fills only retire during echoes, so
     /// the fence never moves.
+    ///
+    /// This walk, `process_echo` and `conflict_stall` are forced inline
+    /// into the replay loop: a call per event and per scanned echo cost
+    /// about a tenth of a replay.
+    #[inline(always)]
     fn scan_echoes(
         &mut self,
         stall: StallFeature,
@@ -766,7 +830,7 @@ mod tests {
     use super::*;
     use crate::config::WriteBufferConfig;
     use crate::Cpu;
-    use simmem::{BusWidth, BypassMode};
+    use simmem::{BusWidth, BypassMode, MemoryTiming};
     use simtrace::spec92::{spec92_trace, Spec92Program};
 
     const N: usize = 12_000;

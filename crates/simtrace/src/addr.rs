@@ -53,16 +53,6 @@ impl Addr {
         self.0 % line_bytes
     }
 
-    /// Returns the index of the `chunk_bytes`-wide bus chunk within the line
-    /// that contains this address.
-    ///
-    /// Line fills deliver the line in `line_bytes / chunk_bytes` chunks of
-    /// bus width `chunk_bytes`; partial-line stalling features (BNL2/BNL3)
-    /// need to know which chunk an access touches.
-    pub fn chunk_in_line(self, line_bytes: u64, chunk_bytes: u64) -> u64 {
-        self.offset_in_line(line_bytes) / chunk_bytes
-    }
-
     /// Returns this address advanced by `delta` bytes, wrapping on overflow.
     pub fn wrapping_add(self, delta: u64) -> Self {
         Addr(self.0.wrapping_add(delta))
@@ -135,16 +125,6 @@ mod tests {
         let a = Addr::new(0xABCD);
         let line = a.line(32);
         assert_eq!(line.base(32).raw() + a.offset_in_line(32), a.raw());
-    }
-
-    #[test]
-    fn chunk_in_line_identifies_bus_chunk() {
-        // 32-byte line, 4-byte bus: 8 chunks.
-        let base = Addr::new(0x100);
-        for i in 0..8 {
-            assert_eq!(base.wrapping_add(i * 4).chunk_in_line(32, 4), i);
-            assert_eq!(base.wrapping_add(i * 4 + 3).chunk_in_line(32, 4), i);
-        }
     }
 
     #[test]

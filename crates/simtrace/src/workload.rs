@@ -225,14 +225,13 @@ pub enum PatternNode {
 pub struct WorkloadSpec {
     /// Optional human-facing name (builtins: the SPEC92 program name).
     pub name: Option<String>,
-    /// XORed into every compile seed, decorrelating specs driven with
-    /// the same experiment seed (the role `spec92_trace`'s discriminant
-    /// mix played).
-    pub seed_mix: u64,
-    /// How the reference pattern is lifted into an instruction stream.
-    pub shape: TraceShape,
-    /// The generator tree.
-    pub root: PatternNode,
+    seed_mix: u64,
+    shape: TraceShape,
+    root: PatternNode,
+    /// SHA-256 of the canonical rendering of the three fields above,
+    /// taken once at construction; they are private so it cannot go
+    /// stale.
+    id: WorkloadId,
 }
 
 // ---------------------------------------------------------------------
@@ -877,12 +876,44 @@ impl WorkloadSpec {
             .validate()
             .map_err(|e| format!("workload.shape: {e}"))?;
         let root = PatternNode::from_json(need(v, "pattern", "workload")?, "workload.pattern")?;
-        Ok(WorkloadSpec {
+        WorkloadSpec::assemble(name, seed_mix, shape, root)
+    }
+
+    /// Builds a spec from its parts, validates it and takes its content
+    /// hash — the only place [`WorkloadSpec::id`] is computed.
+    fn assemble(
+        name: Option<String>,
+        seed_mix: u64,
+        shape: TraceShape,
+        root: PatternNode,
+    ) -> Result<WorkloadSpec, String> {
+        let mut spec = WorkloadSpec {
             name,
             seed_mix,
             shape,
             root,
-        })
+            id: WorkloadId([0; 32]),
+        };
+        spec.validate()?;
+        spec.id = WorkloadId::from_hex(&sha256_hex(spec.canonical_json().render().as_bytes()));
+        Ok(spec)
+    }
+
+    /// XORed into every compile seed, decorrelating specs driven with
+    /// the same experiment seed (the role `spec92_trace`'s discriminant
+    /// mix played).
+    pub fn seed_mix(&self) -> u64 {
+        self.seed_mix
+    }
+
+    /// How the reference pattern is lifted into an instruction stream.
+    pub fn shape(&self) -> &TraceShape {
+        &self.shape
+    }
+
+    /// The generator tree.
+    pub fn root(&self) -> &PatternNode {
+        &self.root
     }
 
     /// Parses a spec from JSON text — [`WorkloadSpec::from_json`] over
@@ -895,13 +926,9 @@ impl WorkloadSpec {
         WorkloadSpec::from_json(&Json::parse(text)?)
     }
 
-    /// Validates the spec; parsed specs are already valid, this is for
-    /// hand-built trees.
-    ///
-    /// # Errors
-    ///
-    /// Returns a message naming the offending parameter.
-    pub fn validate(&self) -> Result<(), String> {
+    /// The check [`WorkloadSpec::assemble`] runs, so every spec that
+    /// exists is valid: it canonicalises and compiles without panicking.
+    fn validate(&self) -> Result<(), String> {
         self.shape
             .validate()
             .map_err(|e| format!("workload.shape: {e}"))?;
@@ -915,13 +942,7 @@ impl WorkloadSpec {
     /// fixed key order, seeds as hex strings, **without** the name —
     /// this is the byte string the content hash is taken over, so two
     /// differently-named copies of one workload share an identity.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the spec fails [`WorkloadSpec::validate`] (parsed
-    /// specs never do).
     pub fn canonical_json(&self) -> Json {
-        self.validate().expect("canonicalising an invalid spec");
         Json::obj(vec![
             ("seed_mix", seed_json(self.seed_mix)),
             (
@@ -943,10 +964,6 @@ impl WorkloadSpec {
 
     /// The full JSON form: the canonical fields plus the name, when
     /// present — what `workloads show` and query echoes print.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the spec fails [`WorkloadSpec::validate`].
     pub fn to_json(&self) -> Json {
         let canonical = self.canonical_json();
         match &self.name {
@@ -962,13 +979,9 @@ impl WorkloadSpec {
     }
 
     /// The spec's stable content identity: SHA-256 over the canonical
-    /// rendering.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the spec fails [`WorkloadSpec::validate`].
+    /// rendering, computed once when the spec was built.
     pub fn id(&self) -> WorkloadId {
-        WorkloadId::from_hex(&sha256_hex(self.canonical_json().render().as_bytes()))
+        self.id
     }
 
     /// Human-facing label: the name, or `spec:<hash prefix>` for
@@ -984,13 +997,7 @@ impl WorkloadSpec {
     /// deterministic in `seed` (which is XORed with
     /// [`seed_mix`](WorkloadSpec::seed_mix), exactly as the legacy
     /// SPEC92 constructors mixed their discriminant).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the spec fails [`WorkloadSpec::validate`] (parsed
-    /// specs never do).
     pub fn compile(&self, seed: u64) -> CompiledTrace {
-        self.validate().expect("compiling an invalid spec");
         let effective = seed ^ self.seed_mix;
         PatternTrace::new(self.root.build(effective), self.shape, effective)
     }
@@ -1002,7 +1009,7 @@ impl WorkloadSpec {
     ///
     /// # Panics
     ///
-    /// Panics if the spec is invalid or `chunk_len` is zero.
+    /// Panics if `chunk_len` is zero.
     pub fn chunks(
         &self,
         seed: u64,
@@ -1175,14 +1182,15 @@ fn builtin_tree(program: Spec92Program) -> (PatternNode, TraceShape) {
 
 fn make_builtin(program: Spec92Program) -> WorkloadSpec {
     let (root, shape) = builtin_tree(program);
-    WorkloadSpec {
-        name: Some(program.name().to_string()),
+    WorkloadSpec::assemble(
+        Some(program.name().to_string()),
         // The same discriminant mix `spec92_trace` applies, so
         // `compile(seed)` seeds the trace RNG with the identical value.
-        seed_mix: (program as u64).wrapping_mul(SEED_GOLDEN),
+        (program as u64).wrapping_mul(SEED_GOLDEN),
         shape,
         root,
-    }
+    )
+    .expect("built-in specs are valid")
 }
 
 /// All six built-in named specs, in [`Spec92Program::ALL`] order.
@@ -1230,10 +1238,32 @@ mod tests {
         }
     }
 
+    /// Every spec the repository ships: the builtins and the example
+    /// files under `workloads/`.
+    fn shipped_specs() -> Vec<WorkloadSpec> {
+        let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../workloads");
+        let mut files: Vec<_> = std::fs::read_dir(&dir)
+            .expect("workloads/ is readable")
+            .map(|entry| entry.expect("directory entry").path())
+            .filter(|path| path.extension().is_some_and(|ext| ext == "json"))
+            .collect();
+        files.sort();
+        assert!(!files.is_empty(), "no specs under {}", dir.display());
+        let parsed = files.iter().map(|path| {
+            let text = std::fs::read_to_string(path).expect("spec file is readable");
+            WorkloadSpec::from_json_str(&text).unwrap_or_else(|e| panic!("{}: {e}", path.display()))
+        });
+        builtins().iter().cloned().chain(parsed).collect()
+    }
+
     #[test]
     fn canonical_round_trip_preserves_identity() {
-        for spec in builtins() {
+        for spec in shipped_specs() {
             let rendered = spec.canonical_json().render();
+            // The stored id is the hash of the canonical form, recomputed.
+            let recomputed = WorkloadId::from_hex(&sha256_hex(rendered.as_bytes()));
+            assert_eq!(spec.id(), recomputed, "{:?}", spec.name);
+            assert_eq!(spec.clone().id(), recomputed, "{:?}", spec.name);
             let reparsed = WorkloadSpec::from_json_str(&rendered).unwrap();
             assert_eq!(reparsed.id(), spec.id(), "{:?}", spec.name);
             assert_eq!(reparsed.seed_mix, spec.seed_mix);
@@ -1241,7 +1271,7 @@ mod tests {
             assert_eq!(reparsed.name, None, "the canonical form drops the label");
             // And the full form keeps it.
             let named = WorkloadSpec::from_json(&spec.to_json()).unwrap();
-            assert_eq!(named, **&spec);
+            assert_eq!(named, spec);
         }
     }
 
@@ -1318,6 +1348,10 @@ mod tests {
             (
                 r#"{"shape":{"mem_fraction":1.5,"branch_fraction":0.0,"code_bytes":1024},"pattern":{"kind":"working_set","base":0,"bytes":64,"store_fraction":0.0,"elem_size":4}}"#,
                 "mem_fraction",
+            ),
+            (
+                r#"{"shape":{"mem_fraction":0.3,"branch_fraction":0.0,"code_bytes":9007199254740992},"pattern":{"kind":"working_set","base":0,"bytes":64,"store_fraction":0.0,"elem_size":4}}"#,
+                "code_bytes",
             ),
         ] {
             let err = WorkloadSpec::from_json_str(bad).unwrap_err();

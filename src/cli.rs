@@ -132,7 +132,7 @@ pub enum Command {
 #[derive(Debug, Clone, PartialEq)]
 pub enum ClientCall {
     /// `POST /query` with a typed request.
-    Query(QueryRequest),
+    Query(Box<QueryRequest>),
     /// `GET /stats`.
     Stats,
     /// `GET /experiments`.
@@ -318,7 +318,7 @@ fn parse_query(args: &[String]) -> Result<Command, CliError> {
             Some(addr) => {
                 return Ok(Command::Client {
                     addr,
-                    call: ClientCall::Query(req),
+                    call: ClientCall::Query(Box::new(req)),
                     retries,
                 })
             }

@@ -1079,8 +1079,9 @@ pub struct HttpReply {
 }
 
 /// Reads one HTTP response (status line, `Content-Length`-framed body)
-/// from `stream`, carrying pipelined leftovers in `carry`.
-fn read_reply(stream: &mut TcpStream, carry: &mut Vec<u8>) -> Result<HttpReply, String> {
+/// from `stream`, carrying pipelined leftovers in `carry`. The flag is
+/// `true` when the server said `Connection: close`.
+fn read_reply(stream: &mut TcpStream, carry: &mut Vec<u8>) -> Result<(HttpReply, bool), String> {
     let head_end = loop {
         if let Some(pos) = carry.windows(4).position(|w| w == b"\r\n\r\n") {
             break pos;
@@ -1105,6 +1106,7 @@ fn read_reply(stream: &mut TcpStream, carry: &mut Vec<u8>) -> Result<HttpReply, 
         .ok_or("malformed status line")?;
     let mut content_length = 0usize;
     let mut retry_after = None;
+    let mut close = false;
     for line in lines {
         let Some((name, value)) = line.split_once(':') else {
             continue;
@@ -1116,6 +1118,8 @@ fn read_reply(stream: &mut TcpStream, carry: &mut Vec<u8>) -> Result<HttpReply, 
                 .map_err(|_| "bad response Content-Length".to_string())?;
         } else if name.eq_ignore_ascii_case("retry-after") {
             retry_after = value.trim().parse().ok();
+        } else if name.eq_ignore_ascii_case("connection") {
+            close = value.trim().eq_ignore_ascii_case("close");
         }
     }
     let total = consumed + content_length;
@@ -1130,11 +1134,21 @@ fn read_reply(stream: &mut TcpStream, carry: &mut Vec<u8>) -> Result<HttpReply, 
     let body_bytes: Vec<u8> = carry.drain(..total).skip(consumed).collect();
     let body =
         String::from_utf8(body_bytes).map_err(|_| "response body is not UTF-8".to_string())?;
-    Ok(HttpReply {
+    let reply = HttpReply {
         status,
         retry_after,
         body,
-    })
+    };
+    Ok((reply, close))
+}
+
+/// Opens a client stream to `addr` with the client I/O timeouts set.
+fn connect_stream(addr: SocketAddr) -> Result<TcpStream, String> {
+    let stream = TcpStream::connect_timeout(&addr, IO_TIMEOUT)
+        .map_err(|e| format!("connecting to {addr}: {e}"))?;
+    let _ = stream.set_read_timeout(Some(IO_TIMEOUT));
+    let _ = stream.set_write_timeout(Some(IO_TIMEOUT));
+    Ok(stream)
 }
 
 /// A one-shot HTTP/1.1 client call (`Connection: close`), returning the
@@ -1153,10 +1167,7 @@ pub fn http_request(
     let addr: SocketAddr = addr
         .parse()
         .map_err(|e| format!("bad server address {addr:?}: {e}"))?;
-    let mut stream = TcpStream::connect_timeout(&addr, IO_TIMEOUT)
-        .map_err(|e| format!("connecting to {addr}: {e}"))?;
-    let _ = stream.set_read_timeout(Some(IO_TIMEOUT));
-    let _ = stream.set_write_timeout(Some(IO_TIMEOUT));
+    let mut stream = connect_stream(addr)?;
     let body = body.unwrap_or("");
     let request = format!(
         "{method} {path} HTTP/1.1\r\nHost: {addr}\r\nContent-Type: application/json\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{body}",
@@ -1165,7 +1176,7 @@ pub fn http_request(
     stream
         .write_all(request.as_bytes())
         .map_err(|e| format!("sending request: {e}"))?;
-    read_reply(&mut stream, &mut Vec::new())
+    read_reply(&mut stream, &mut Vec::new()).map(|(reply, _)| reply)
 }
 
 /// A minimal HTTP/1.1 client call — what `tradeoff-cli query --server`
@@ -1185,12 +1196,16 @@ pub fn http_call(
 
 /// A persistent (keep-alive) HTTP/1.1 client connection: many calls,
 /// one TCP stream. Used by the keep-alive tests and `benches/serve.rs`
-/// to measure reuse against connection-per-request.
+/// to measure reuse against connection-per-request. When a reply says
+/// `Connection: close` (the server's per-connection request cap), the
+/// next call opens a fresh stream first.
 #[derive(Debug)]
 pub struct HttpClient {
     stream: TcpStream,
     carry: Vec<u8>,
     addr: SocketAddr,
+    /// The server announced it is closing `stream`.
+    closed: bool,
 }
 
 impl HttpClient {
@@ -1203,14 +1218,11 @@ impl HttpClient {
         let addr: SocketAddr = addr
             .parse()
             .map_err(|e| format!("bad server address {addr:?}: {e}"))?;
-        let stream = TcpStream::connect_timeout(&addr, IO_TIMEOUT)
-            .map_err(|e| format!("connecting to {addr}: {e}"))?;
-        let _ = stream.set_read_timeout(Some(IO_TIMEOUT));
-        let _ = stream.set_write_timeout(Some(IO_TIMEOUT));
         Ok(HttpClient {
-            stream,
+            stream: connect_stream(addr)?,
             carry: Vec::new(),
             addr,
+            closed: false,
         })
     }
 
@@ -1220,8 +1232,8 @@ impl HttpClient {
     /// # Errors
     ///
     /// Returns a message on connection or protocol failure (including
-    /// the server closing the connection, e.g. at its per-connection
-    /// request cap — reconnect and retry in that case).
+    /// the server dropping the connection without announcing it —
+    /// reconnect and retry in that case).
     pub fn call(
         &mut self,
         method: &str,
@@ -1244,6 +1256,11 @@ impl HttpClient {
         body: Option<&str>,
         extra_headers: &str,
     ) -> Result<HttpReply, String> {
+        if self.closed {
+            self.stream = connect_stream(self.addr)?;
+            self.carry.clear();
+            self.closed = false;
+        }
         let body = body.unwrap_or("");
         let request = format!(
             "{method} {path} HTTP/1.1\r\nHost: {}\r\nContent-Type: application/json\r\nContent-Length: {}\r\n{extra_headers}Connection: keep-alive\r\n\r\n{body}",
@@ -1253,7 +1270,9 @@ impl HttpClient {
         self.stream
             .write_all(request.as_bytes())
             .map_err(|e| format!("sending request: {e}"))?;
-        read_reply(&mut self.stream, &mut self.carry)
+        let (reply, close) = read_reply(&mut self.stream, &mut self.carry)?;
+        self.closed = close;
+        Ok(reply)
     }
 }
 

@@ -417,6 +417,19 @@ fn keepalive_connections_are_reused_and_counted() {
 }
 
 #[test]
+fn the_client_reconnects_after_the_server_says_connection_close() {
+    // A one-request cap: the server answers each connection's first
+    // request with `Connection: close` and then closes it.
+    let server = spawn_server_with("conn_close", &["--max-requests", "1"]);
+    let mut client = HttpClient::connect(&server.addr).unwrap();
+    let first = client.call("POST", "/query", Some(PRICE)).unwrap();
+    assert_eq!(first.status, 200, "{}", first.body);
+    let second = client.call("POST", "/query", Some(PRICE)).unwrap();
+    assert_eq!(second.status, 200, "{}", second.body);
+    assert_eq!(second.body, first.body);
+}
+
+#[test]
 fn cli_retries_ride_out_accept_sheds_until_success() {
     // The first two accepted connections are shed with 503 +
     // Retry-After; a retrying CLI client must land on the third

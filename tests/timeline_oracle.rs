@@ -39,23 +39,24 @@ fn stalls() -> impl Strategy<Value = StallFeature> {
 }
 
 /// Every configuration the timeline claims to replay exactly: any stall
-/// feature, β_m, bus width, line size, memory pipelining, asymmetric
-/// write timing and write-buffer setting over a write-back
-/// write-allocate data cache.
+/// feature, β_m, bus width, line size (narrower than, equal to or wider
+/// than the bus), memory pipelining, asymmetric write timing and
+/// write-buffer setting over a write-back write-allocate data cache.
 fn supported_configs() -> impl Strategy<Value = CpuConfig> {
     (
         stalls(),
-        prop_oneof![Just(4u64), Just(8)],             // bus
-        prop_oneof![Just(16u64), Just(32), Just(64)], // line
-        2u64..30,                                     // beta
-        0u64..4,                                      // pipelining quantum (0 = off)
-        any::<bool>(),                                // writes at 2×β
-        0usize..5,                                    // write-buffer capacity (0 = none)
-        any::<bool>(),                                // chunk-granular bypass
+        prop_oneof![Just(4u64), Just(8), Just(16), Just(32)], // bus
+        prop_oneof![Just(16u64), Just(32), Just(64)],         // line
+        2u64..30,                                             // beta
+        0u64..4,                                              // pipelining quantum (0 = off)
+        any::<bool>(),                                        // writes at 2×β
+        0usize..5,                                            // write-buffer capacity (0 = none)
+        any::<bool>(),                                        // chunk-granular bypass
     )
         .prop_map(
             |(stall, bus, line, beta, q, slow_writes, capacity, chunky)| {
-                let line = line.max(bus);
+                // No clamp to the bus: a line narrower than the bus is a
+                // single-chunk fill, which `check_line` accepts.
                 let mut timing = MemoryTiming::new(BusWidth::new(bus).expect("valid"), beta);
                 if q > 0 {
                     timing = timing.pipelined(q.min(beta));
