@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # CI gate: tier-1 verification plus lint, exactly what a PR must pass.
 #
-#   ./ci.sh          tier-1 (release build + full test suite) + fmt +
+#   ./ci.sh          tier-1 (release build + every workspace crate's
+#                    tests) + fmt +
 #                    clippy + manifest (committed results/ hash-verified
 #                    against a fresh parallel suite run) + faults (canned
 #                    fault plan degrades the suite instead of killing it)
@@ -35,8 +36,10 @@
 #   ./ci.sh chaos    run only the query-server chaos gate (armed
 #                    REPRO_FAULTS plan: forced accept sheds ridden out
 #                    by client retries, a slow read inside the budget, a
-#                    contained dispatch panic, a watchdog-abandoned
-#                    hang, and a 6x overload flood — the pool must keep
+#                    contained dispatch panic, a hang cancelled at its
+#                    deadline (its 504 under 100 ms late: the sliced
+#                    delay checks the cooperative deadline every 5 ms),
+#                    and a 6x overload flood — the pool must keep
 #                    its size and a post-chaos canned query must be
 #                    byte-identical to a clean server's answer)
 #   ./ci.sh workloads run only the workload-spec gate (every example
@@ -72,7 +75,7 @@ faults_check() {
     echo "==> faults: canned fault plan must degrade, not abort, the suite"
     local tmp out status
     tmp="$(mktemp -d)"
-    # One panic (fig2) and one hang caught by the watchdog (victim): the
+    # One panic (fig2) and one hang cancelled at its deadline (victim): the
     # keep-going parallel run must complete the other 26 experiments,
     # record per-experiment statuses in the manifest, and exit nonzero.
     set +e
@@ -157,7 +160,7 @@ serve_check() {
 
 chaos_check() {
     echo "==> chaos: armed faults must shed, contain, and recover (4 = worker death, 5 = policy drift)"
-    local tmp addr req clean_out post_out server_pid out status started elapsed sheds served p
+    local tmp addr req clean_out post_out server_pid out status started elapsed overrun sheds served p
     tmp="$(mktemp -d)"
     req='{"query":"simulate","program":"ear","instructions":50000,"stall":"bnl3"}'
 
@@ -207,7 +210,7 @@ chaos_check() {
     grep -q '"sheds_accept":2' <<< "$out" \
         || { echo "FAIL: expected 2 accept sheds before the first answer: $out"; exit 5; }
 
-    # 2. A poisoned query unwinds inside the dispatch thread: a typed
+    # 2. A poisoned query unwinds inside dispatch on the worker: a typed
     #    500, and the worker pool is untouched (checked in step 5).
     set +e
     out="$(cargo run --release -q --bin tradeoff-cli -- \
@@ -218,8 +221,12 @@ chaos_check() {
     grep -q 'panicked' <<< "$out" \
         || { echo "FAIL: expected a contained panic, got: $out"; exit 1; }
 
-    # 3. A hung handler is abandoned by the watchdog at the 1 s
-    #    deadline: 504 in seconds, not the 60 s the hang would take.
+    # 3. A hung handler is cancelled at the 1 s deadline: dispatch runs
+    #    on the worker under a cooperative deadline, and the hang (a
+    #    sliced sleep, like every long loop of the serve path) checks it
+    #    every few milliseconds. 504 in seconds, not the 60 s the hang
+    #    would take, and /stats puts the 504 under 100 ms past the
+    #    deadline.
     started=$SECONDS
     set +e
     out="$(cargo run --release -q --bin tradeoff-cli -- \
@@ -231,7 +238,13 @@ chaos_check() {
     grep -q 'deadline-exceeded' <<< "$out" \
         || { echo "FAIL: expected deadline-exceeded, got: $out"; exit 1; }
     [[ "$elapsed" -le 15 ]] \
-        || { echo "FAIL: watchdog took ${elapsed}s against a 1 s deadline"; exit 1; }
+        || { echo "FAIL: the hang took ${elapsed}s to cancel against a 1 s deadline"; exit 1; }
+    out="$(cargo run --release -q --bin tradeoff-cli -- query --server "$addr" --get stats)"
+    overrun="$(sed -nE 's/.*"deadline_overrun_max_us":([0-9]+).*/\1/p' <<< "$out")"
+    [[ -n "$overrun" && "$overrun" -lt 100000 ]] \
+        || { echo "FAIL: the hang's 504 came ${overrun:-?} us after its deadline: $out"; exit 5; }
+    grep -q '"deadline_cancelled":1' <<< "$out" \
+        || { echo "FAIL: the hang was not cancelled in dispatch: $out"; exit 5; }
 
     # 4. Overload flood: 12 concurrent heavy simulates on 2 workers
     #    with a queue watermark of 2. The shed policy must act (503
@@ -261,7 +274,7 @@ chaos_check() {
     grep -q '"panics_contained":1' <<< "$out" \
         || { echo "FAIL: panic not contained or not counted: $out"; exit 5; }
     grep -Eq '"deadline_timeouts":[1-9]' <<< "$out" \
-        || { echo "FAIL: watchdog timeout not counted: $out"; exit 5; }
+        || { echo "FAIL: deadline timeout not counted: $out"; exit 5; }
     grep -q '"sheds_accept":2' <<< "$out" \
         || { echo "FAIL: accept-shed count drifted: $out"; exit 5; }
     grep -Eq '"sheds_dispatch":[1-9]' <<< "$out" \
@@ -276,7 +289,7 @@ chaos_check() {
     cargo run --release -q --bin tradeoff-cli -- query --server "$addr" --shutdown > /dev/null
     wait "$server_pid" \
         || { echo "FAIL: chaos server exited nonzero after graceful shutdown"; exit 1; }
-    echo "    chaos: 2 sheds ridden out, panic + hang contained, $sheds/12 flood sheds, pool intact, byte-identical recovery"
+    echo "    chaos: 2 sheds ridden out, panic + hang contained (504 ${overrun} us late), $sheds/12 flood sheds, pool intact, byte-identical recovery"
     rm -rf "$tmp"
 }
 
@@ -360,8 +373,8 @@ fi
 echo "==> tier-1: cargo build --release"
 cargo build --release
 
-echo "==> tier-1: cargo test -q"
-cargo test -q
+echo "==> tier-1: cargo test --workspace -q"
+cargo test --workspace -q
 
 echo "==> lint: cargo fmt --check"
 cargo fmt --check

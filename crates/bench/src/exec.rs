@@ -8,6 +8,7 @@
 //! order.
 
 use crate::fault;
+use simtrace::cancel;
 use std::num::NonZeroUsize;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -40,7 +41,8 @@ pub fn worker_count(jobs: usize) -> usize {
 ///
 /// Propagates a panic from any job after the pool drains, preserving
 /// the original payload — so the scheduler's panic containment still
-/// sees a typed [`fault::TransientUnwind`] raised inside a worker.
+/// sees a typed [`fault::TransientUnwind`] or [`cancel::Cancelled`]
+/// raised inside a worker.
 pub fn parallel_map<I, O, F>(items: &[I], f: F) -> Vec<O>
 where
     I: Sync,
@@ -53,8 +55,10 @@ where
     }
     let cursor = AtomicUsize::new(0);
     // Workers inherit the spawner's current-experiment so targeted
-    // fault injection reaches extractions that fan out over the pool.
+    // fault injection reaches extractions that fan out over the pool,
+    // and its cancellation deadline so a timeout stops them too.
     let exp = fault::current();
+    let deadline = cancel::deadline();
     let parts: Vec<Vec<(usize, O)>> = std::thread::scope(|scope| {
         let handles: Vec<_> = (0..workers)
             .map(|_| {
@@ -63,6 +67,7 @@ where
                 let exp = exp.clone();
                 scope.spawn(move || {
                     let _scope = fault::enter_shared(exp);
+                    let _deadline = cancel::enter(deadline);
                     let mut local = Vec::new();
                     loop {
                         let i = cursor.fetch_add(1, Ordering::Relaxed);
@@ -132,6 +137,29 @@ mod tests {
         assert_eq!(worker_count(1), 1);
         assert!(worker_count(4) <= 4);
         assert!(worker_count(10_000) >= 1);
+    }
+
+    #[test]
+    fn the_callers_deadline_stops_work_inside_the_workers() {
+        use std::sync::atomic::AtomicUsize;
+        use std::time::{Duration, Instant};
+        let items: Vec<usize> = (0..200).collect();
+        let done = AtomicUsize::new(0);
+        let started = Instant::now();
+        let payload = std::panic::catch_unwind(|| {
+            let _deadline = cancel::enter(Some(started + Duration::from_millis(40)));
+            parallel_map(&items, |_| {
+                // Each job is 5 ms of work that checks the deadline the
+                // way replay loops do; only an inherited deadline stops it.
+                std::thread::sleep(Duration::from_millis(5));
+                cancel::check();
+                done.fetch_add(1, Ordering::Relaxed);
+            })
+        })
+        .expect_err("the deadline must cancel the pool");
+        assert!(payload.is::<cancel::Cancelled>());
+        assert!(done.load(Ordering::Relaxed) < items.len());
+        assert!(started.elapsed() < Duration::from_millis(500));
     }
 
     #[test]

@@ -37,7 +37,8 @@
 //! shed connections with `503`, `read:serve:delay…` simulates a slow
 //! peer eating the request deadline, `dispatch:serve:panic` poisons a
 //! handler to exercise per-request panic containment, and
-//! `dispatch:serve:delay…` hangs one so the watchdog answers `504`.
+//! `dispatch:serve:delay…` hangs one until its request deadline cancels
+//! it and the server answers `504`.
 //! `./ci.sh chaos` floods a server under such a plan.
 
 use crate::error::lock_recovering;
@@ -69,7 +70,7 @@ pub enum Site {
     /// peer (eats the request deadline), `io` a mid-body disconnect.
     Read,
     /// Request dispatch on a server worker: `panic` exercises
-    /// per-request containment, `delay` the `504` watchdog.
+    /// per-request containment, `delay` the `504` deadline.
     Dispatch,
 }
 
@@ -109,8 +110,10 @@ pub enum FaultKind {
     /// Raise an injected I/O error (a *transient* failure: retried
     /// under the scheduler's bounded-backoff policy).
     Io,
-    /// Sleep for the given duration (combined with `REPRO_EXP_TIMEOUT`
-    /// this exercises the watchdog).
+    /// Sleep for the given duration, in slices that check the
+    /// cooperative deadline ([`simtrace::cancel`]): combined with
+    /// `REPRO_EXP_TIMEOUT` or a request budget this exercises the
+    /// timeout path.
     Delay(Duration),
 }
 
@@ -229,7 +232,8 @@ impl FaultPlan {
                         site.name()
                     )))
                 }
-                FaultKind::Delay(d) => std::thread::sleep(d),
+                // Sliced, so a cooperative deadline cuts the stall short.
+                FaultKind::Delay(d) => simtrace::cancel::sleep(d),
             }
         }
         Ok(())

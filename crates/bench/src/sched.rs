@@ -13,8 +13,11 @@
 //!
 //! Every experiment executes *contained*: a panic is caught and becomes
 //! a typed [`ExpFailure`] outcome instead of tearing down the pool, an
-//! optional per-experiment watchdog (`REPRO_EXP_TIMEOUT` seconds, off
-//! by default) turns hangs into `timed-out` outcomes, and transient
+//! optional per-experiment watchdog deadline (`REPRO_EXP_TIMEOUT`
+//! seconds, off by default) cancels a hang cooperatively — the
+//! experiment runs on its pool worker, and the replay, chunk and
+//! grid-row checks of [`simtrace::cancel`] unwind it once the deadline
+//! passes — turning it into a `timed-out` outcome, and transient
 //! (injected or I/O) errors are retried under a bounded backoff policy.
 //! A strict run stops scheduling at the first failure; `keep_going`
 //! completes every runnable experiment and records per-experiment
@@ -32,11 +35,12 @@ use crate::registry::{self, ExpReport, Experiment, RunCtx};
 use crate::tracestore::{self, StoreCounts};
 use report::manifest::{Manifest, StatusEntry, MANIFEST_NAME};
 use report::Artifact;
+use simtrace::cancel;
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{mpsc, Condvar, Mutex};
+use std::sync::{Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 /// Environment variable holding the per-experiment watchdog deadline in
@@ -337,52 +341,34 @@ fn panic_text(payload: &(dyn std::any::Any + Send)) -> String {
         .unwrap_or_else(|| "non-string panic payload".to_string())
 }
 
-/// One contained attempt on the current thread: marks the experiment
-/// for fault targeting, fires the `run` injection site, and catches any
-/// unwind — a [`fault::TransientUnwind`] (injected I/O raised inside an
-/// infallible call chain) stays retryable, anything else is a panic.
-fn attempt_contained(
-    exp: &'static dyn Experiment,
-    ctx: &RunCtx,
-) -> Result<ExpReport, AttemptError> {
+/// One contained attempt on the current pool worker: marks the
+/// experiment for fault targeting, opens the watchdog deadline (when one
+/// is configured) as a cooperative [`cancel`] scope, fires the `run`
+/// injection site, and catches any unwind — a [`fault::TransientUnwind`]
+/// (injected I/O raised inside an infallible call chain) stays
+/// retryable, a [`cancel::Cancelled`] check past the deadline is a
+/// timeout, anything else is a panic. A cancelled experiment unwinds
+/// through its store claims, so it leaves no key claimed and nothing
+/// partial memoised.
+fn attempt(exp: &'static dyn Experiment, opts: &SuiteOptions) -> Result<ExpReport, AttemptError> {
     let _scope = fault::enter(exp.id());
+    let _deadline = cancel::enter(opts.timeout.map(|limit| Instant::now() + limit));
     catch_unwind(AssertUnwindSafe(|| {
         // Inside the containment boundary: a panic-kind fault at the
         // run site must be caught like any experiment panic, and an
         // I/O-kind one unwinds as a retryable TransientUnwind.
         fault::check_or_unwind(Site::Run);
-        exp.run(ctx)
+        exp.run(&opts.ctx)
     }))
-    .map_err(
-        |payload| match payload.downcast_ref::<fault::TransientUnwind>() {
-            Some(transient) => AttemptError::Transient(transient.0.clone()),
-            None => AttemptError::Panicked(panic_text(payload.as_ref())),
-        },
-    )
-}
-
-/// One attempt, under the watchdog when a deadline is configured: the
-/// experiment runs on a dedicated thread and the scheduler waits at
-/// most `limit`; on expiry the runaway thread is abandoned (it parks no
-/// pool worker and its late result is dropped with the channel).
-fn attempt(exp: &'static dyn Experiment, opts: &SuiteOptions) -> Result<ExpReport, AttemptError> {
-    let Some(limit) = opts.timeout else {
-        return attempt_contained(exp, &opts.ctx);
-    };
-    let (tx, rx) = mpsc::channel();
-    let ctx = opts.ctx.clone();
-    let spawned = std::thread::Builder::new()
-        .name(format!("exp-{}", exp.id()))
-        .spawn(move || {
-            let _ = tx.send(attempt_contained(exp, &ctx));
-        });
-    if let Err(e) = spawned {
-        return Err(AttemptError::Transient(format!(
-            "could not spawn watchdogged worker: {e}"
-        )));
-    }
-    rx.recv_timeout(limit)
-        .unwrap_or(Err(AttemptError::TimedOut(limit)))
+    .map_err(|payload| {
+        if let Some(transient) = payload.downcast_ref::<fault::TransientUnwind>() {
+            return AttemptError::Transient(transient.0.clone());
+        }
+        match opts.timeout {
+            Some(limit) if payload.is::<cancel::Cancelled>() => AttemptError::TimedOut(limit),
+            _ => AttemptError::Panicked(panic_text(payload.as_ref())),
+        }
+    })
 }
 
 fn run_one(exp: &'static dyn Experiment, opts: &SuiteOptions) -> ExpOutcome {
@@ -854,5 +840,68 @@ mod tests {
             "the hang cost one experiment, not the suite"
         );
         assert!(run.document().contains("c: timed-out"));
+    }
+
+    /// Extracts one timeline through the trace store.
+    struct Extracting;
+
+    const EXTRACT_SEED: u64 = 0x5C4E_D001; // unique to this test
+
+    fn extract() -> std::sync::Arc<simcpu::MissTimeline> {
+        tracestore::spec_timeline(
+            simtrace::Spec92Program::Ear,
+            EXTRACT_SEED,
+            2_000,
+            &crate::common::figure1_cache(32),
+        )
+    }
+
+    impl Experiment for Extracting {
+        fn id(&self) -> &'static str {
+            "extracting"
+        }
+        fn title(&self) -> &'static str {
+            "extracting"
+        }
+        fn tags(&self) -> &'static [&'static str] {
+            &["fake"]
+        }
+        fn depends_on_traces(&self) -> &'static [&'static str] {
+            &[]
+        }
+        fn module(&self) -> &'static str {
+            module_path!()
+        }
+        fn run(&self, _ctx: &RunCtx) -> ExpReport {
+            extract();
+            ExpReport::text_only("extracted\n".to_string())
+        }
+    }
+
+    #[test]
+    fn a_timed_out_experiment_releases_its_store_claims() {
+        // The hang sits at the extract site, after the store claimed the
+        // timeline key: the cancel must unwind through that claim.
+        let _armed = fault::arm(FaultPlan::new().with(
+            Site::Extract,
+            "extracting",
+            FaultKind::Delay(Duration::from_secs(60)),
+            1,
+        ));
+        let started = Instant::now();
+        let run = run_suite(
+            &[&Extracting],
+            &SuiteOptions {
+                timeout: Some(Duration::from_millis(100)),
+                ..opts(1).keep_going(true)
+            },
+        );
+        assert_eq!(run.outcomes[0].status(), "timed-out");
+        assert!(started.elapsed() < Duration::from_secs(5));
+        // A leaked claim would park this lookup on the key gate until its
+        // deadline, and the deadline would unwind it.
+        let _deadline = cancel::enter(Some(Instant::now() + Duration::from_secs(10)));
+        let timeline = extract();
+        assert_eq!(timeline.instructions(), 2_000);
     }
 }

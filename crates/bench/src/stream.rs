@@ -21,7 +21,7 @@ use crate::{exec, fault};
 use simcache::stackdist::StackDistSweep;
 use simcpu::{MissTimeline, MissTimelineBuilder};
 use simtrace::chunk::{ChunkedTrace, DEFAULT_CHUNK_INSTRUCTIONS};
-use simtrace::{Instr, ReuseHistograms};
+use simtrace::{cancel, Instr, ReuseHistograms};
 use std::path::Path;
 use std::sync::mpsc;
 use std::sync::Arc;
@@ -178,9 +178,14 @@ impl ChunkSink for FoldSink {
 /// reused buffer. Both paths deliver the identical chunk sequence to
 /// every sink, so the results are independent of the schedule.
 ///
+/// Every chunk boundary checks the cooperative deadline
+/// ([`cancel::check`]) — on the generator and in each consumer, which
+/// inherit the caller's deadline.
+///
 /// # Panics
 ///
-/// Propagates a panic from any sink, and panics if `chunk_len` is 0.
+/// Propagates a panic (or [`cancel::Cancelled`] unwind) from any sink,
+/// and panics if `chunk_len` is 0.
 pub fn broadcast<I, S>(source: I, chunk_len: usize, sinks: Vec<S>) -> Vec<S::Out>
 where
     I: Iterator<Item = Instr>,
@@ -191,6 +196,7 @@ where
         let mut sinks = sinks;
         let mut buf = Vec::with_capacity(chunk_len);
         while chunks.next_chunk_into(&mut buf) {
+            cancel::check();
             for sink in &mut sinks {
                 sink.consume(&buf);
             }
@@ -199,8 +205,10 @@ where
     }
 
     // Consumers inherit the spawner's current-experiment so targeted
-    // fault injection reaches folds that fan out over the pipeline.
+    // fault injection reaches folds that fan out over the pipeline, and
+    // its deadline so a cancel stops them too.
     let exp = fault::current();
+    let deadline = cancel::deadline();
     std::thread::scope(|scope| {
         let mut senders = Vec::with_capacity(sinks.len());
         let handles: Vec<_> = sinks
@@ -211,7 +219,9 @@ where
                 let exp = exp.clone();
                 scope.spawn(move || {
                     let _scope = fault::enter_shared(exp);
+                    let _deadline = cancel::enter(deadline);
                     while let Ok(chunk) = rx.recv() {
+                        cancel::check();
                         sink.consume(&chunk);
                     }
                     sink.finish()
@@ -220,6 +230,7 @@ where
             .collect();
         let mut buf = Vec::with_capacity(chunk_len);
         while chunks.next_chunk_into(&mut buf) {
+            cancel::check();
             let shared = Arc::new(std::mem::replace(&mut buf, Vec::with_capacity(chunk_len)));
             for tx in &senders {
                 // A closed channel means that consumer panicked; keep
@@ -238,12 +249,14 @@ where
 /// Folds an already-materialised trace through every sink in
 /// `chunk_len` blocks — the warm-store fast path: no copy, no
 /// generation, same chunk boundaries (hence bit-identical folds) as
-/// [`broadcast`] over the equivalent generator.
+/// [`broadcast`] over the equivalent generator, and the same
+/// deadline checks at every chunk boundary.
 pub fn fold_slice<S: ChunkSink>(data: &[Instr], chunk_len: usize, sinks: Vec<S>) -> Vec<S::Out> {
     assert!(chunk_len > 0, "chunk length must be at least 1");
     if exec::worker_count(sinks.len()) <= 1 || sinks.len() <= 1 {
         let mut sinks = sinks;
         for chunk in data.chunks(chunk_len) {
+            cancel::check();
             for sink in &mut sinks {
                 sink.consume(chunk);
             }
@@ -251,6 +264,7 @@ pub fn fold_slice<S: ChunkSink>(data: &[Instr], chunk_len: usize, sinks: Vec<S>)
         return sinks.into_iter().map(ChunkSink::finish).collect();
     }
     let exp = fault::current();
+    let deadline = cancel::deadline();
     std::thread::scope(|scope| {
         let handles: Vec<_> = sinks
             .into_iter()
@@ -258,7 +272,9 @@ pub fn fold_slice<S: ChunkSink>(data: &[Instr], chunk_len: usize, sinks: Vec<S>)
                 let exp = exp.clone();
                 scope.spawn(move || {
                     let _scope = fault::enter_shared(exp);
+                    let _deadline = cancel::enter(deadline);
                     for chunk in data.chunks(chunk_len) {
+                        cancel::check();
                         sink.consume(chunk);
                     }
                     sink.finish()
@@ -437,6 +453,47 @@ mod tests {
         for k in 0..=6 {
             assert_eq!(via_slice[0].stats(k, 2), via_stream[0].stats(k, 2));
         }
+    }
+
+    /// A sink that counts chunks and takes 2 ms per chunk.
+    struct SlowSink<'a>(&'a std::sync::atomic::AtomicUsize);
+
+    impl ChunkSink for SlowSink<'_> {
+        type Out = ();
+        fn consume(&mut self, _chunk: &[Instr]) {
+            std::thread::sleep(std::time::Duration::from_millis(2));
+            self.0.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+        }
+        fn finish(self) {}
+    }
+
+    #[test]
+    fn the_callers_deadline_stops_the_consumers() {
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        use std::time::{Duration, Instant};
+        // 500 chunks × 2 ms per sink: a full second of folding. With no
+        // producer, only the consumers' own checks can stop it early.
+        let data: Vec<Instr> = source().take(5_000).collect();
+        let consumed = AtomicUsize::new(0);
+        let started = Instant::now();
+        let payload = std::panic::catch_unwind(|| {
+            let _deadline = cancel::enter(Some(started + Duration::from_millis(30)));
+            fold_slice(&data, 10, vec![SlowSink(&consumed), SlowSink(&consumed)])
+        })
+        .expect_err("the deadline must cancel the fold");
+        assert!(payload.is::<cancel::Cancelled>());
+        assert!(consumed.load(Ordering::Relaxed) < 2 * 500);
+        assert!(started.elapsed() < Duration::from_millis(500));
+
+        // The generator-fed pipeline stops too.
+        let started = Instant::now();
+        let payload = std::panic::catch_unwind(|| {
+            let _deadline = cancel::enter(Some(started + Duration::from_millis(30)));
+            broadcast(source(), 10, vec![SlowSink(&consumed), SlowSink(&consumed)])
+        })
+        .expect_err("the deadline must cancel the pipeline");
+        assert!(payload.is::<cancel::Cancelled>());
+        assert!(started.elapsed() < Duration::from_millis(500));
     }
 
     #[test]

@@ -40,11 +40,12 @@ use simcache::CacheConfig;
 use simcpu::{MissTimeline, MissTimelineBuilder};
 use simtrace::spec92::Spec92Program;
 use simtrace::workload::{builtin_spec, WorkloadId, WorkloadSpec};
-use simtrace::{Instr, ReuseHistograms, INSTR_BYTES};
+use simtrace::{cancel, Instr, ReuseHistograms, INSTR_BYTES};
 use std::collections::{HashMap, HashSet};
 use std::hash::Hash;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock};
+use std::time::Instant;
 
 /// Seed used by every `run_spec`-style experiment.
 pub const SPEC_SEED: u64 = 0xDEAD_BEEF;
@@ -323,7 +324,9 @@ impl<K: Eq + Hash + Clone> KeyGate<K> {
 
     /// Claims `key` for this thread, or blocks until the current
     /// holder releases it and returns `None` (the caller re-probes the
-    /// memo before trying again).
+    /// memo before trying again). A waiter under a cooperative deadline
+    /// waits no longer than that deadline, then unwinds with
+    /// [`cancel::Cancelled`] — a hung holder cannot wedge it.
     fn claim(&self, key: K) -> Option<KeyClaim<'_, K>> {
         let mut set = self
             .in_flight
@@ -334,11 +337,26 @@ impl<K: Eq + Hash + Clone> KeyGate<K> {
         }
         COALESCED_WAITS.fetch_add(1, Ordering::Relaxed);
         while set.contains(&key) {
-            set = self
-                .released
-                .wait(set)
-                .unwrap_or_else(std::sync::PoisonError::into_inner);
+            set = match cancel::deadline() {
+                None => self
+                    .released
+                    .wait(set)
+                    .unwrap_or_else(std::sync::PoisonError::into_inner),
+                Some(due) => {
+                    let left = due.saturating_duration_since(Instant::now());
+                    if left.is_zero() {
+                        break;
+                    }
+                    self.released
+                        .wait_timeout(set, left)
+                        .unwrap_or_else(std::sync::PoisonError::into_inner)
+                        .0
+                }
+            };
         }
+        // Unwind (if due) only after the gate's lock is released.
+        drop(set);
+        cancel::check();
         None
     }
 }
@@ -527,27 +545,35 @@ pub fn spec_trace(program: Spec92Program, seed: u64, len: usize) -> TraceHandle 
     workload_trace(builtin_spec(program), seed, len)
 }
 
-/// Streams the workload's trace through a timeline builder without
-/// pinning it: an already-materialised trace is folded in place, a cold
-/// one is generated chunk by chunk (at most one `REPRO_STREAM_CHUNK`
-/// block resident at a time).
+/// Folds the workload's trace through `sink` without pinning it: an
+/// already-materialised trace is folded in place, a cold one is
+/// generated chunk by chunk (at most one `REPRO_STREAM_CHUNK` block
+/// resident at a time). Each chunk boundary checks the cooperative
+/// deadline, so a cancelled extraction unwinds before anything is
+/// memoised.
+fn fold_streaming<S: stream::ChunkSink>(
+    spec: &WorkloadSpec,
+    seed: u64,
+    len: usize,
+    sink: S,
+) -> S::Out {
+    let chunk = stream::chunk_instructions();
+    let folded = match resident_workload_trace(spec, seed, len) {
+        Some(trace) => stream::fold_slice(&trace, chunk, vec![sink]),
+        None => stream::broadcast(spec.compile(seed).take(len), chunk, vec![sink]),
+    };
+    folded.into_iter().next().expect("one sink, one fold")
+}
+
+/// Streams the workload's trace through a timeline builder
+/// ([`fold_streaming`]).
 fn extract_streaming(
     spec: &WorkloadSpec,
     seed: u64,
     len: usize,
     cache: &CacheConfig,
 ) -> MissTimeline {
-    let chunk = stream::chunk_instructions();
-    let mut builder = MissTimelineBuilder::new(*cache);
-    if let Some(trace) = resident_workload_trace(spec, seed, len) {
-        for block in trace.chunks(chunk) {
-            builder.process_slice(block);
-        }
-    } else {
-        spec.chunks(seed, len, chunk)
-            .for_each_chunk(|block| builder.process_slice(block));
-    }
-    builder.finish()
+    fold_streaming(spec, seed, len, MissTimelineBuilder::new(*cache))
 }
 
 /// The [`MissTimeline`] of a workload prefix under `cache`, extracted
@@ -606,8 +632,7 @@ pub fn spec_timeline(
 }
 
 /// Streams the workload's trace through a multi-granularity
-/// reuse-distance fold without pinning it (same residency contract as
-/// [`extract_streaming`]).
+/// reuse-distance fold ([`fold_streaming`]).
 fn fold_histograms(
     spec: &WorkloadSpec,
     seed: u64,
@@ -617,17 +642,8 @@ fn fold_histograms(
     max_distance: usize,
     warmup: u64,
 ) -> ReuseHistograms {
-    let chunk = stream::chunk_instructions();
-    let mut hists = ReuseHistograms::new(min_line, max_line, max_distance, warmup);
-    if let Some(trace) = resident_workload_trace(spec, seed, len) {
-        for block in trace.chunks(chunk) {
-            hists.process_slice(block);
-        }
-    } else {
-        spec.chunks(seed, len, chunk)
-            .for_each_chunk(|block| hists.process_slice(block));
-    }
-    hists
+    let hists = ReuseHistograms::new(min_line, max_line, max_distance, warmup);
+    fold_streaming(spec, seed, len, hists)
 }
 
 /// The [`ReuseHistograms`] of a workload prefix, folded at most once
@@ -747,6 +763,8 @@ mod tests {
     use super::*;
     use crate::common::figure1_cache;
     use simtrace::spec92::spec92_trace;
+    use std::panic::AssertUnwindSafe;
+    use std::time::Duration;
 
     fn id_of(program: Spec92Program) -> WorkloadId {
         builtin_spec(program).id()
@@ -936,6 +954,57 @@ mod tests {
         let _pin = spec_trace(Spec92Program::Swm256, seed, 6_000);
         let warm = extract_streaming(spec, seed, 6_000, &cache);
         assert_eq!(warm, direct);
+    }
+
+    #[test]
+    fn a_coalesced_waiter_gives_up_at_its_deadline() {
+        let gate = KeyGate::new();
+        let holder = gate.claim(7u32).expect("first claim wins");
+        let budget = Duration::from_millis(100);
+        let started = Instant::now();
+        let waited = std::panic::catch_unwind(AssertUnwindSafe(|| {
+            let _deadline = cancel::enter(Some(started + budget));
+            gate.claim(7u32).map(|_| ())
+        }));
+        let took = started.elapsed();
+        let payload = waited.expect_err("the waiter must unwind, not return");
+        assert!(payload.is::<cancel::Cancelled>());
+        assert!(took >= budget, "{took:?}");
+        assert!(took < budget + Duration::from_millis(50), "{took:?}");
+        drop(holder);
+        assert!(gate.claim(7u32).is_some(), "the released key is claimable");
+    }
+
+    #[test]
+    fn a_cancelled_extraction_memoises_nothing_and_the_retry_matches_uncached() {
+        use crate::queryenv::StoreWorkloads;
+        use tradeoff::api::{dispatch, QueryRequest, Uncached};
+        // A workload seed unique to this test: nobody else warms it.
+        let req = QueryRequest::from_json_str(
+            r#"{"query":"simulate","program":"doduc","instructions":150000,"seed":1364410881}"#,
+        )
+        .unwrap();
+        let spec = builtin_spec(Spec92Program::Doduc);
+        let cache = CacheConfig::new(8 * 1024, 32, 2).unwrap();
+        let key = (spec.id(), 1_364_410_881, 150_000, cache);
+        let cancelled = std::panic::catch_unwind(|| {
+            let _deadline = cancel::enter(Some(Instant::now()));
+            dispatch(&req, &StoreWorkloads)
+        });
+        let payload = cancelled.expect_err("an expired deadline cancels the extraction");
+        assert!(payload.is::<cancel::Cancelled>());
+        assert!(
+            !lock_store(timelines()).contains_key(&key),
+            "nothing partial is memoised"
+        );
+        assert!(
+            !lock_recovering(&timeline_gate().in_flight).0.contains(&key),
+            "the claim was released"
+        );
+        let retried = dispatch(&req, &StoreWorkloads).unwrap().to_json_string();
+        let uncached = dispatch(&req, &Uncached).unwrap().to_json_string();
+        assert_eq!(retried, uncached);
+        assert!(lock_store(timelines()).contains_key(&key));
     }
 
     #[test]

@@ -104,8 +104,14 @@ impl Cpu {
     }
 
     /// Runs an entire trace and returns the result.
+    ///
+    /// Checks the cooperative deadline ([`simtrace::cancel::check`]) every
+    /// 4096 instructions.
     pub fn run(mut self, trace: impl IntoIterator<Item = Instr>) -> SimResult {
-        for instr in trace {
+        for (i, instr) in trace.into_iter().enumerate() {
+            if i % 4096 == 0 {
+                simtrace::cancel::check();
+            }
             self.step(&instr);
         }
         self.finish()

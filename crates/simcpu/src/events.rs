@@ -36,7 +36,11 @@ use crate::config::{CpuConfig, Prefetch, StallFeature};
 use crate::result::SimResult;
 use simcache::{Cache, CacheConfig, CacheStats, WriteMiss, WritePolicy};
 use simmem::{FillSchedule, WriteBuffer};
-use simtrace::{Addr, Instr};
+use simtrace::{cancel, Addr, Instr};
+
+/// Replay loops check the cooperative deadline ([`cancel::check`]) once
+/// per this many miss events.
+const CANCEL_CHECK_EVENTS: usize = 1024;
 
 /// One allocating fill: the timeline's unit of timing work.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -325,6 +329,9 @@ impl MissTimeline {
         let echo_instrs = &self.echo_instrs;
         let echo_addrs = &self.echo_addrs;
         for (i, event) in self.events.iter().enumerate() {
+            if i % CANCEL_CHECK_EVENTS == 0 {
+                cancel::check();
+            }
             let start = event.echo_start as usize;
             let end = self
                 .events
@@ -711,6 +718,9 @@ impl<'a> TimelineCpu<'a> {
         let echo_instrs = &self.timeline.echo_instrs;
         let echo_addrs = &self.timeline.echo_addrs;
         for (i, event) in self.timeline.events.iter().enumerate() {
+            if i % CANCEL_CHECK_EVENTS == 0 {
+                cancel::check();
+            }
             st.process_event(&self.cfg, mshrs, event);
             if scan {
                 let (start, end) = self.echo_bounds(i);
@@ -767,6 +777,9 @@ impl<'a> TimelineCpu<'a> {
             after_ref(&st, &stats, &hist, &mut refs);
         }
         for (i, event) in self.timeline.events.iter().enumerate() {
+            if i % CANCEL_CHECK_EVENTS == 0 {
+                cancel::check();
+            }
             st.process_event(&self.cfg, mshrs, event);
             if let Some(last) = last_fill_instr {
                 hist[SimResult::distance_bucket(event.instr - last)] += 1;

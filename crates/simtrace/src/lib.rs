@@ -16,7 +16,9 @@
 //! * declarative workload specs ([`workload`]): JSON-described generator
 //!   trees with a stable content hash, compiling to the same streams,
 //! * streaming statistics ([`stats`]) and a compact binary trace encoding
-//!   ([`encode`]) for recording and replaying traces.
+//!   ([`encode`]) for recording and replaying traces,
+//! * cooperative cancellation deadlines ([`cancel`]) the long loops of
+//!   the downstream crates check at their natural boundaries.
 //!
 //! # Example
 //!
@@ -33,6 +35,7 @@
 #![warn(missing_docs)]
 
 pub mod addr;
+pub mod cancel;
 pub mod chunk;
 pub mod din;
 pub mod encode;

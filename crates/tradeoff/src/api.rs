@@ -274,7 +274,8 @@ pub struct DenseBest {
 /// smallest-capacity geometry whose analytic hit ratio reaches
 /// `target_hr` (ties resolved by walk order: line, then sets, then
 /// assoc). Bucketed resolution: one `conflict_curve` per (line, sets)
-/// answers all `max_assoc` ways at once.
+/// answers all `max_assoc` ways at once. Each (line, sets) row checks
+/// the cooperative deadline ([`simtrace::cancel::check`]).
 ///
 /// # Panics
 ///
@@ -283,6 +284,7 @@ pub fn dense_best(analytic: &Analytic, grid: &DenseGrid, target_hr: f64) -> Opti
     let mut best: Option<DenseBest> = None;
     for &line_bytes in &grid.line_sizes {
         for sets in 1..=grid.max_sets {
+            simtrace::cancel::check();
             let curve = analytic
                 .conflict_curve(line_bytes, sets, grid.max_assoc, Resolution::Bucketed)
                 .expect("dense grid line sizes are folded");

@@ -34,8 +34,20 @@
 //!   server stays observable under load.
 //! * **Deadlines.** Every request gets a budget (`--request-timeout`,
 //!   overridable *downward* per request via `X-Request-Timeout-Ms`)
-//!   measured from its first byte. A stuck handler is abandoned by a
-//!   watchdog and answered `504 deadline-exceeded`; the worker survives.
+//!   measured from its first byte. Dispatch runs on the worker itself
+//!   under a cooperative [`simtrace::cancel`] deadline; the long loops
+//!   check it at boundaries they already have — every 1024 events of a
+//!   timeline replay, every streamed chunk of an extraction or fold,
+//!   every row of the dense-grid walk, every 4096 instructions of a
+//!   full `Cpu::run`, every 5 ms slice of an injected `delay`, and the
+//!   wait on another request's in-flight extraction. A check past the
+//!   deadline unwinds the handler, releasing its store claims, and the
+//!   request is answered `504 deadline-exceeded`; so is one that
+//!   finishes late. The 504 therefore arrives at most one check
+//!   interval after the deadline (a few milliseconds: one 64 K-
+//!   instruction chunk fold is the longest), and nothing keeps running
+//!   after it. `/stats` reports the longest such lateness as
+//!   `deadline_overrun_max_us`.
 //! * **Panic containment.** Dispatch runs under `catch_unwind`: a
 //!   panicking query answers `500 internal` and the pool keeps its
 //!   size — an invariant `/stats` exposes as `pool.size`/`pool.alive`.
@@ -59,6 +71,7 @@ use bench::fault::{self, Site};
 use bench::queryenv::StoreWorkloads;
 use bench::tracestore;
 use report::Json;
+use simtrace::cancel;
 use std::collections::BTreeMap;
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -190,6 +203,8 @@ struct ServerStats {
     sheds_accept: AtomicU64,
     sheds_dispatch: AtomicU64,
     deadline_timeouts: AtomicU64,
+    deadline_cancelled: AtomicU64,
+    deadline_overrun_max_us: AtomicU64,
     panics_contained: AtomicU64,
     write_failures_2xx: AtomicU64,
     write_failures_4xx: AtomicU64,
@@ -211,6 +226,8 @@ impl ServerStats {
             sheds_accept: AtomicU64::new(0),
             sheds_dispatch: AtomicU64::new(0),
             deadline_timeouts: AtomicU64::new(0),
+            deadline_cancelled: AtomicU64::new(0),
+            deadline_overrun_max_us: AtomicU64::new(0),
             panics_contained: AtomicU64::new(0),
             write_failures_2xx: AtomicU64::new(0),
             write_failures_4xx: AtomicU64::new(0),
@@ -233,6 +250,19 @@ impl ServerStats {
         e.count += 1;
         e.total_micros += micros;
         e.max_micros = e.max_micros.max(micros);
+    }
+
+    /// The `504 deadline-exceeded` answer to a request whose deadline
+    /// `due` has passed: counted, and its lateness (now − `due`) folded
+    /// into the overrun maximum.
+    fn deadline_exceeded(&self, due: Option<Instant>, message: &str) -> (u16, String) {
+        self.deadline_timeouts.fetch_add(1, Ordering::Relaxed);
+        if let Some(due) = due {
+            let overrun = u64::try_from(due.elapsed().as_micros()).unwrap_or(u64::MAX);
+            self.deadline_overrun_max_us
+                .fetch_max(overrun, Ordering::Relaxed);
+        }
+        (504, wire_error("deadline-exceeded", message))
     }
 
     /// A response the worker could not (fully) write: counted by status
@@ -309,6 +339,8 @@ impl ServerStats {
                         ]),
                     ),
                     ("deadline_timeouts", n(&self.deadline_timeouts)),
+                    ("deadline_cancelled", n(&self.deadline_cancelled)),
+                    ("deadline_overrun_max_us", n(&self.deadline_overrun_max_us)),
                     ("panics_contained", n(&self.panics_contained)),
                     (
                         "write_failures",
@@ -559,17 +591,6 @@ fn recv_request(
     }
 }
 
-/// The request's remaining deadline at a decision point.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Deadline {
-    /// No budget configured and none requested.
-    Unbounded,
-    /// This much budget left.
-    Within(Duration),
-    /// The budget is already gone: answer 504 without dispatching.
-    Expired,
-}
-
 /// Combines the server budget with the client's header override —
 /// downward only: the header can shorten the budget, never extend it.
 fn effective_budget(server: Duration, header_ms: Option<u64>) -> Option<Duration> {
@@ -718,77 +739,70 @@ fn panic_text(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-/// Runs `dispatch` with PR 4's containment discipline: on a spawned
-/// watchdog thread (`recv_timeout` abandons a stuck handler and answers
-/// `504 deadline-exceeded`) and under `catch_unwind` (a panicking query
-/// answers `500 internal`; the pool keeps its size). The `dispatch`
-/// fault site fires inside the guarded region.
-fn dispatch_guarded(req: QueryRequest, deadline: Deadline, stats: &ServerStats) -> (u16, String) {
-    let answer = |r: Result<tradeoff::api::QueryResponse, ApiError>| match r {
+/// Runs `dispatch` on this worker under the containment discipline:
+/// inside a cooperative [`cancel`] scope set to the request deadline
+/// `due`, and under `catch_unwind`. A request whose deadline already
+/// passed (a slow read ate the budget) is answered `504
+/// deadline-exceeded` without dispatching; so is one whose handler a
+/// check cancelled (unwinding through any store claim it held) or that
+/// finished after its deadline. A panicking query answers `500
+/// internal` and the pool keeps its size. The `dispatch` fault site
+/// fires inside the guarded region.
+fn dispatch_guarded(
+    req: &QueryRequest,
+    due: Option<Instant>,
+    stats: &ServerStats,
+) -> (u16, String) {
+    const LATE: &str = "request deadline expired during dispatch";
+    if expired(due) {
+        return stats.deadline_exceeded(due, "request deadline expired before dispatch");
+    }
+    let result = {
+        let _deadline = cancel::enter(due);
+        catch_unwind(AssertUnwindSafe(|| {
+            fault::check(Site::Dispatch)
+                .map_err(|e| ApiError::internal(format!("injected dispatch fault: {e}")))
+                .and_then(|()| dispatch(req, &StoreWorkloads))
+        }))
+    };
+    let result = match result {
+        Err(payload) if payload.is::<cancel::Cancelled>() => {
+            stats.deadline_cancelled.fetch_add(1, Ordering::Relaxed);
+            return stats.deadline_exceeded(due, LATE);
+        }
+        Err(payload) => {
+            // The handler panicked; the worker survives it.
+            stats.panics_contained.fetch_add(1, Ordering::Relaxed);
+            Err(ApiError::internal(format!(
+                "query handler panicked: {}",
+                panic_text(payload.as_ref())
+            )))
+        }
+        Ok(_) if expired(due) => return stats.deadline_exceeded(due, LATE),
+        Ok(result) => result,
+    };
+    match result {
         Ok(resp) => (200, format!("{}\n", resp.to_json_string())),
         Err(err) => (
             err.kind.http_status(),
             format!("{}\n", err.to_json().render()),
         ),
-    };
-    let limit = match deadline {
-        Deadline::Unbounded => None,
-        Deadline::Within(remaining) => Some(remaining),
-        Deadline::Expired => unreachable!("expired deadlines are answered before dispatch"),
-    };
-    let (tx, rx) = mpsc::channel();
-    let spawned = std::thread::Builder::new()
-        .name("tradeoff-serve-dispatch".to_string())
-        .spawn(move || {
-            let result = catch_unwind(AssertUnwindSafe(|| {
-                let _scope = fault::enter("serve");
-                fault::check(Site::Dispatch)
-                    .map_err(|e| ApiError::internal(format!("injected dispatch fault: {e}")))
-                    .and_then(|()| dispatch(&req, &StoreWorkloads))
-            }));
-            // The watchdog may have given up on us: a dead receiver is
-            // fine, the answer is simply discarded.
-            let _ = tx.send(result);
-        });
-    if spawned.is_err() {
-        return answer(Err(ApiError::internal("spawning the dispatch watchdog")));
-    }
-    let received = match limit {
-        Some(limit) => rx.recv_timeout(limit).map_err(|_| ()),
-        None => rx.recv().map_err(|_| ()),
-    };
-    match received {
-        Ok(Ok(result)) => answer(result),
-        Ok(Err(payload)) => {
-            // The handler panicked; the worker survives it.
-            stats.panics_contained.fetch_add(1, Ordering::Relaxed);
-            answer(Err(ApiError::internal(format!(
-                "query handler panicked: {}",
-                panic_text(payload.as_ref())
-            ))))
-        }
-        Err(()) => {
-            // Deadline blown (or the dispatch thread died without
-            // answering): abandon it, the worker moves on.
-            stats.deadline_timeouts.fetch_add(1, Ordering::Relaxed);
-            (
-                504,
-                wire_error(
-                    "deadline-exceeded",
-                    "request deadline expired during dispatch",
-                ),
-            )
-        }
     }
 }
 
-/// Routes one request under the overload and deadline policy.
+/// True once the request deadline `due` (if any) has passed.
+fn expired(due: Option<Instant>) -> bool {
+    due.is_some_and(|due| Instant::now() >= due)
+}
+
+/// Routes one request under the overload and deadline policy; `due` is
+/// the request's deadline (`None`: unbounded).
 fn route(
     req: &Request,
     peer: Option<&SocketAddr>,
     token: Option<&str>,
     overloaded: bool,
-    deadline: Deadline,
+    due: Option<Instant>,
     stats: &ServerStats,
 ) -> Outcome {
     match (req.method.as_str(), req.path.as_str()) {
@@ -816,33 +830,11 @@ fn route(
                     retry_after: Some(1),
                 };
             }
-            if deadline == Deadline::Expired {
-                stats.deadline_timeouts.fetch_add(1, Ordering::Relaxed);
-                return Outcome::plain(
-                    504,
-                    wire_error(
-                        "deadline-exceeded",
-                        "request deadline expired before dispatch",
-                    ),
-                    "query",
-                );
-            }
-            let (status, body) = dispatch_guarded(query, deadline, stats);
+            let (status, body) = dispatch_guarded(&query, due, stats);
             Outcome::plain(status, body, "query")
         }
         ("GET", "/experiments") => {
-            if deadline == Deadline::Expired {
-                stats.deadline_timeouts.fetch_add(1, Ordering::Relaxed);
-                return Outcome::plain(
-                    504,
-                    wire_error(
-                        "deadline-exceeded",
-                        "request deadline expired before dispatch",
-                    ),
-                    "experiments",
-                );
-            }
-            let (status, body) = dispatch_guarded(QueryRequest::Experiments, deadline, stats);
+            let (status, body) = dispatch_guarded(&QueryRequest::Experiments, due, stats);
             Outcome::plain(status, body, "experiments")
         }
         // Body filled by the caller so the response counts itself.
@@ -916,20 +908,15 @@ fn handle_connection(
                     path: head.path.clone(),
                     body,
                 };
-                let deadline = match effective_budget(cfg.request_timeout, head.timeout_ms) {
-                    None => Deadline::Unbounded,
-                    Some(budget) => match budget.checked_sub(started.elapsed()) {
-                        Some(remaining) if !remaining.is_zero() => Deadline::Within(remaining),
-                        _ => Deadline::Expired,
-                    },
-                };
+                let due = effective_budget(cfg.request_timeout, head.timeout_ms)
+                    .map(|budget| started + budget);
                 let overloaded = gauges.queued.load(Ordering::SeqCst) > cfg.queue as u64;
                 let mut out = route(
                     &req,
                     peer.as_ref(),
                     cfg.shutdown_token.as_deref(),
                     overloaded,
-                    deadline,
+                    due,
                     stats,
                 );
                 // /stats renders after the request is recorded, so the
@@ -1401,7 +1388,7 @@ mod tests {
             path: "/query".to_string(),
             body: r#"{"query":"price","hr":0.95}"#.to_string(),
         };
-        let out = route(&cheap, None, None, true, Deadline::Unbounded, &stats);
+        let out = route(&cheap, None, None, true, None, &stats);
         assert_eq!(out.status, 200, "cheap queries ride through overload");
 
         let sim = Request {
@@ -1409,14 +1396,14 @@ mod tests {
             path: "/query".to_string(),
             body: r#"{"query":"simulate","program":"ear","instructions":1000}"#.to_string(),
         };
-        let out = route(&sim, None, None, true, Deadline::Unbounded, &stats);
+        let out = route(&sim, None, None, true, None, &stats);
         assert_eq!(out.status, 503);
         assert_eq!(out.retry_after, Some(1), "sheds carry Retry-After");
         assert!(out.body.contains("overloaded"), "{}", out.body);
         assert_eq!(stats.sheds_dispatch.load(Ordering::Relaxed), 1);
 
         // Unloaded, the same expensive query dispatches.
-        let out = route(&sim, None, None, false, Deadline::Unbounded, &stats);
+        let out = route(&sim, None, None, false, None, &stats);
         assert_eq!(out.status, 200, "{}", out.body);
     }
 
@@ -1428,7 +1415,7 @@ mod tests {
             path: "/query".to_string(),
             body: r#"{"query":"price","hr":0.95}"#.to_string(),
         };
-        let out = route(&req, None, None, false, Deadline::Expired, &stats);
+        let out = route(&req, None, None, false, Some(Instant::now()), &stats);
         assert_eq!(out.status, 504);
         assert!(out.body.contains("deadline-exceeded"), "{}", out.body);
         assert_eq!(stats.deadline_timeouts.load(Ordering::Relaxed), 1);
@@ -1439,7 +1426,7 @@ mod tests {
             path: "/stats".to_string(),
             body: String::new(),
         };
-        let out = route(&req, None, None, false, Deadline::Expired, &stats);
+        let out = route(&req, None, None, false, Some(Instant::now()), &stats);
         assert_eq!(out.status, 200);
     }
 
@@ -1452,7 +1439,7 @@ mod tests {
             body: body.to_string(),
         };
         let route_plain = |req: &Request, peer: Option<&SocketAddr>, token: Option<&str>| {
-            route(req, peer, token, false, Deadline::Unbounded, &stats)
+            route(req, peer, token, false, None, &stats)
         };
         let local: SocketAddr = "127.0.0.1:50000".parse().unwrap();
         let remote: SocketAddr = "192.0.2.7:50000".parse().unwrap();

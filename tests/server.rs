@@ -335,8 +335,8 @@ fn a_poisoned_query_answers_500_and_leaves_the_pool_intact() {
 
 #[test]
 fn a_hung_handler_answers_504_deadline_exceeded() {
-    // One armed 60 s hang against a 500 ms request budget: the watchdog
-    // abandons the handler and answers 504 instead of wedging a worker.
+    // One armed 60 s hang against a 500 ms request budget: the deadline
+    // cancels the handler and the worker answers 504 instead of wedging.
     let server = spawn_server_env(
         "hang",
         &["--threads", "2", "--request-timeout", "0.5"],
@@ -363,6 +363,78 @@ fn a_hung_handler_answers_504_deadline_exceeded() {
     assert_eq!(
         pool.get("alive").unwrap().as_u64(),
         pool.get("size").unwrap().as_u64()
+    );
+}
+
+/// The `Threads:` count of a live process, from `/proc/<pid>/status`.
+#[cfg(target_os = "linux")]
+fn thread_count(pid: u32) -> u64 {
+    let status = std::fs::read_to_string(format!("/proc/{pid}/status")).expect("proc status");
+    status
+        .lines()
+        .find_map(|line| line.strip_prefix("Threads:"))
+        .and_then(|n| n.trim().parse().ok())
+        .expect("a Threads: line")
+}
+
+#[cfg(target_os = "linux")]
+#[test]
+fn nothing_keeps_running_after_a_504() {
+    // A 5 s hang against a 200 ms budget: the deadline cancels the
+    // handler itself, so the 504 leaves no thread behind still asleep.
+    let server = spawn_server_env(
+        "cancel",
+        &["--threads", "2"],
+        &[("REPRO_FAULTS", "dispatch:serve:delay5000:1")],
+    );
+    let addr = server.addr.clone();
+    let pid = server.child.id();
+    // Both workers are up once the pool reports them alive.
+    let ready = Instant::now() + Duration::from_secs(10);
+    while stats_doc(&addr)
+        .get("server")
+        .and_then(|s| s.get("pool"))
+        .and_then(|p| p.get("alive"))
+        .and_then(Json::as_u64)
+        != Some(2)
+    {
+        assert!(Instant::now() < ready, "workers never came up");
+        std::thread::sleep(Duration::from_millis(10));
+    }
+    let before = thread_count(pid);
+
+    let mut client = HttpClient::connect(&addr).unwrap();
+    let started = Instant::now();
+    let reply = client
+        .call_with_headers(
+            "POST",
+            "/query",
+            Some(PRICE),
+            "X-Request-Timeout-Ms: 200\r\n",
+        )
+        .unwrap();
+    let took = started.elapsed();
+    assert_eq!(reply.status, 504, "{}", reply.body);
+    assert!(reply.body.contains("deadline-exceeded"), "{}", reply.body);
+    assert!(took < Duration::from_millis(500), "504 took {took:?}");
+    assert_eq!(
+        thread_count(pid),
+        before,
+        "a thread outlived its request's 504"
+    );
+
+    let stats = stats_doc(&addr);
+    let srv = stats.get("server").unwrap();
+    assert_eq!(srv.get("deadline_timeouts").unwrap().as_u64(), Some(1));
+    assert_eq!(srv.get("deadline_cancelled").unwrap().as_u64(), Some(1));
+    let overrun = srv
+        .get("deadline_overrun_max_us")
+        .unwrap()
+        .as_u64()
+        .unwrap();
+    assert!(
+        overrun < 100_000,
+        "504 came {overrun} us after its deadline"
     );
 }
 
