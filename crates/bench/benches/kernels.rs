@@ -4,15 +4,17 @@
 //! cache simulation, CPU timing, the analytic sweeps), making the
 //! harness double as a performance regression suite.
 
+use bench::tracestore;
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion, Throughput};
 use simcache::{Cache, CacheConfig, SectorCache, SectorConfig, VictimCache};
-use simcpu::{Cpu, CpuConfig, L2Config, Prefetch, StallFeature};
+use simcpu::{Cpu, CpuConfig, L2Config, MissTimeline, Prefetch, StallFeature};
 use simmem::{BusWidth, MemoryTiming};
 use simtrace::encode::TraceBuffer;
 use simtrace::gen::{PatternTrace, TraceShape, ZipfWorkingSet};
 use simtrace::spec92::{spec92_trace, Spec92Program};
 use simtrace::Instr;
 use smithval::{validate_all_panels, DesignTargetModel};
+use tradeoff::api::SimulateQuery;
 use tradeoff::equiv::traded_hit_ratio;
 use tradeoff::{HitRatio, Machine, SystemConfig};
 
@@ -74,6 +76,48 @@ fn cpu_simulation(c: &mut Criterion) {
                 |cpu| cpu.run(trace.iter().copied()).cycles,
                 BatchSize::LargeInput,
             )
+        });
+    }
+    g.finish();
+}
+
+/// Timeline replay per stalling feature over the hot `simulate` mix: the
+/// six built-ins at 50 000 instructions under the query's default cache
+/// and seed, × β_m {4, 8, 12, 16} × bus {4, 8, 16} bytes. Consecutive
+/// replays go to different timelines, as a query stream's do; the time
+/// is per replay. NB (4 MSHRs, as the query serves it) walks the most
+/// echoes per replay.
+fn timeline_replay(c: &mut Criterion) {
+    let query = SimulateQuery::default();
+    let cache = CacheConfig::new(query.cache, query.line, 2).unwrap();
+    let timelines: Vec<_> = Spec92Program::ALL
+        .into_iter()
+        .map(|p| tracestore::spec_timeline(p, query.seed, N, &cache))
+        .collect();
+    let mut g = c.benchmark_group("replay");
+    for stall in [
+        StallFeature::FullStall,
+        StallFeature::BusLocked,
+        StallFeature::BusNotLocked1,
+        StallFeature::BusNotLocked2,
+        StallFeature::BusNotLocked3,
+        StallFeature::NonBlocking { mshrs: 4 },
+    ] {
+        let mut points: Vec<(&MissTimeline, CpuConfig)> = Vec::new();
+        for beta in [4u64, 8, 12, 16] {
+            for bus in [4u64, 8, 16] {
+                let timing = MemoryTiming::new(BusWidth::new(bus).unwrap(), beta);
+                for tl in &timelines {
+                    points.push((tl, CpuConfig::baseline(cache, timing).with_stall(stall)));
+                }
+            }
+        }
+        g.bench_function(stall.name(), |b| {
+            let mut next = points.iter().cycle();
+            b.iter(|| {
+                let (tl, cfg) = next.next().unwrap();
+                tl.replay(cfg).cycles
+            })
         });
     }
     g.finish();
@@ -204,6 +248,7 @@ criterion_group!(
     trace_generation,
     cache_simulation,
     cpu_simulation,
+    timeline_replay,
     analytic_kernels,
     alternative_organisations,
     extended_cpu_paths,

@@ -20,6 +20,12 @@
 //! scan, so the replayed work is `O(events)` in practice while storage
 //! stays shared across every (feature × β_m × bus) point.
 //!
+//! Every replay ([`TimelineCpu::run`], [`TimelineCpu::run_with_marks`],
+//! [`MissTimeline::replay_batch`]) takes one step per fill event: the
+//! miss path, then one linear walk of its echoes under a running cutoff,
+//! compiled once per stalling feature, with the clock in registers and
+//! the in-flight fills in a fixed ring sized to the MSHR count.
+//!
 //! # Exactness and scope
 //!
 //! The replay is **bit-identical** to [`Cpu::run`](crate::Cpu::run)
@@ -197,10 +203,9 @@ impl MissTimelineBuilder {
 /// The complete timing-relevant record of one (trace, cache config)
 /// pair: extract once, replay for every timing model.
 ///
-/// Echoes are stored structure-of-arrays: the replay's fence scan reads
-/// only the sorted instruction-index array (enabling the binary-search
-/// window cut in [`TimelineCpu::run`]), addresses are touched only for
-/// echoes that actually stall-check, and the store flags only by the
+/// Echoes are stored structure-of-arrays: the replay's fence check reads
+/// only the sorted instruction-index array, addresses are touched only
+/// for echoes that actually stall-check, and the store flags only by the
 /// marks walk — 17 bytes per echo instead of a 24-byte record.
 #[derive(Debug, Clone, PartialEq)]
 pub struct MissTimeline {
@@ -281,12 +286,7 @@ impl MissTimeline {
     /// this configuration; callers must fall back to the full simulator
     /// when this is `false`.
     pub fn supports(&self, cfg: &CpuConfig) -> bool {
-        cfg.dcache == self.cache
-            && cfg.icache.is_none()
-            && cfg.l2.is_none()
-            && cfg.prefetch == Prefetch::None
-            && cfg.issue_width == 1
-            && cfg.validate().is_ok()
+        TimelineCpu::new(self, *cfg).is_ok()
     }
 
     /// Replays the timeline under `cfg` and returns the exact
@@ -324,34 +324,74 @@ impl MissTimeline {
             .iter()
             .map(|&cfg| TimelineCpu::new(self, cfg))
             .collect::<Result<_, _>>()?;
-        let mut states: Vec<ReplayState> =
-            replayers.iter().map(|r| ReplayState::new(&r.cfg)).collect();
-        let echo_instrs = &self.echo_instrs;
-        let echo_addrs = &self.echo_addrs;
+        let mut walks: Vec<(Replay, Step)> = replayers
+            .iter()
+            .map(|r| (Replay::new(&r.cfg, self), r.step()))
+            .collect();
         for (i, event) in self.events.iter().enumerate() {
             if i % CANCEL_CHECK_EVENTS == 0 {
                 cancel::check();
             }
-            let start = event.echo_start as usize;
-            let end = self
-                .events
-                .get(i + 1)
-                .map_or(echo_instrs.len(), |next| next.echo_start as usize);
-            for (r, st) in replayers.iter().zip(&mut states) {
-                st.process_event(&r.cfg, r.mshrs(), event);
-                if r.cfg.stall != StallFeature::FullStall {
-                    st.scan_echoes(r.cfg.stall, echo_instrs, echo_addrs, start, end);
-                }
+            let (instrs, addrs) = self.window(i);
+            for (st, step) in &mut walks {
+                step(st, event, instrs, addrs);
             }
         }
         Ok(replayers
             .iter()
-            .zip(&mut states)
-            .map(|(r, st)| {
+            .zip(&mut walks)
+            .map(|(r, (st, _))| {
                 st.advance(self.instructions);
                 r.result(st, self.stats, self.miss_distance_hist)
             })
             .collect())
+    }
+
+    /// Event `index`'s echo window — the hits between its fill and the
+    /// next one — as instruction indices and addresses.
+    fn window(&self, index: usize) -> (&[u64], &[Addr]) {
+        let start = self.events[index].echo_start as usize;
+        let end = self
+            .events
+            .get(index + 1)
+            .map_or(self.echo_instrs.len(), |next| next.echo_start as usize);
+        (&self.echo_instrs[start..end], &self.echo_addrs[start..end])
+    }
+}
+
+/// A timing configuration checked for exact timeline replay: single
+/// issue, no instruction cache, no L2, no prefetching, and valid by
+/// [`CpuConfig::validate`].
+///
+/// Checking is separate from binding ([`TimelineCpu::bind`]) so a caller
+/// can reject a bad configuration before any timeline exists and still
+/// check it only once.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct ReplayConfig(CpuConfig);
+
+impl ReplayConfig {
+    /// Checks `cfg`.
+    ///
+    /// # Errors
+    ///
+    /// Returns a description of the first unsupported aspect when the
+    /// replay could not be exact (caller should use `Cpu::run`), or the
+    /// first violated constraint of [`CpuConfig::validate`].
+    pub fn new(cfg: CpuConfig) -> Result<Self, String> {
+        if cfg.icache.is_some() {
+            return Err("instruction caches make timing cache-history-dependent".to_string());
+        }
+        if cfg.l2.is_some() {
+            return Err("an L2 holds timing-dependent state".to_string());
+        }
+        if cfg.prefetch != Prefetch::None {
+            return Err("prefetching changes the cache's fill sequence".to_string());
+        }
+        if cfg.issue_width != 1 {
+            return Err("issue grouping couples base cycles to stall history".to_string());
+        }
+        cfg.validate()?;
+        Ok(ReplayConfig(cfg))
     }
 }
 
@@ -369,219 +409,242 @@ pub struct TimelineCpu<'a> {
     cfg: CpuConfig,
 }
 
-/// The replay's in-flight fills, oldest first: `buf[head..]`.
-///
-/// Fills complete in FIFO order, so retiring one only advances `head`,
-/// and the live fills are one slice the NB conflict check scans
-/// directly. Measured on the replay, this beats a `VecDeque`, whose
-/// ring-index arithmetic sits on every per-echo front check.
-#[derive(Default)]
-struct FillQueue {
-    buf: Vec<FillSchedule>,
-    head: usize,
+/// The stalling feature a replay kernel is compiled for: its const
+/// parameter, so neither the event nor the echo loop matches on
+/// [`StallFeature`].
+const FS: u8 = 0;
+const BL: u8 = 1;
+const BNL1: u8 = 2;
+const BNL2: u8 = 3;
+const BNL3: u8 = 4;
+const NB: u8 = 5;
+
+/// Evaluates `$body` with the const `$f` naming the kernel of `$stall`:
+/// the one place a replay matches on the stalling feature.
+#[rustfmt::skip]
+macro_rules! per_feature {
+    ($stall:expr, $f:ident => $body:expr) => {
+        match $stall {
+            StallFeature::FullStall => { const $f: u8 = FS; $body }
+            StallFeature::BusLocked => { const $f: u8 = BL; $body }
+            StallFeature::BusNotLocked1 => { const $f: u8 = BNL1; $body }
+            StallFeature::BusNotLocked2 => { const $f: u8 = BNL2; $body }
+            StallFeature::BusNotLocked3 => { const $f: u8 = BNL3; $body }
+            StallFeature::NonBlocking { .. } => { const $f: u8 = NB; $body }
+        }
+    };
 }
 
-impl FillQueue {
-    /// Retired fills kept before the dead prefix is dropped.
-    const SLACK: usize = 32;
+/// Table 2 for a hit on `addr` at `now` while `fill` still streams in:
+/// the cycle the hit waits until. NB applies BNL3's rule to the oldest
+/// in-flight fill of the hit's line; FS never gets here, since its fill
+/// is complete by the time the processor resumes.
+#[inline(always)]
+fn hit_waits<const F: u8>(fill: &FillSchedule, addr: Addr, now: u64) -> u64 {
+    match F {
+        BL => fill.complete_at(),
+        BNL1 if fill.covers(addr) => fill.complete_at(),
+        BNL2 if fill.covers(addr) && !fill.chunk_available(addr, now) => fill.complete_at(),
+        BNL3 | NB if fill.covers(addr) => fill.chunk_available_at(addr).max(now),
+        _ => now,
+    }
+}
 
-    fn live(&self) -> &[FillSchedule] {
-        &self.buf[self.head..]
+/// One event of one configuration's replay, monomorphised for its
+/// stalling feature (see [`Replay::step`]).
+type Step = fn(&mut Replay, &MissEvent, &[u64], &[Addr]);
+
+/// The replay's in-flight fills, oldest first, in a fixed ring whose
+/// power-of-two capacity covers the MSHR count.
+///
+/// Fills complete in FIFO order (the memory port serialises their
+/// schedules), so retiring one only advances `head`, and no more than
+/// the MSHR count are ever live, so the ring never grows.
+struct FillRing {
+    slots: Box<[FillSchedule]>,
+    head: usize,
+    len: usize,
+}
+
+impl FillRing {
+    /// A ring for `capacity` fills; `blank` fills the unused slots.
+    fn new(capacity: usize, blank: FillSchedule) -> Self {
+        FillRing {
+            slots: vec![blank; capacity.next_power_of_two()].into_boxed_slice(),
+            head: 0,
+            len: 0,
+        }
+    }
+
+    fn mask(&self) -> usize {
+        self.slots.len() - 1
+    }
+
+    /// The `i`-th oldest live fill.
+    fn get(&self, i: usize) -> &FillSchedule {
+        &self.slots[(self.head + i) & self.mask()]
     }
 
     fn front(&self) -> Option<&FillSchedule> {
-        self.buf.get(self.head)
-    }
-
-    fn back(&self) -> Option<&FillSchedule> {
-        self.live().last()
-    }
-
-    fn len(&self) -> usize {
-        self.buf.len() - self.head
+        (self.len > 0).then(|| self.get(0))
     }
 
     fn pop_front(&mut self) {
-        debug_assert!(self.head < self.buf.len(), "no fill in flight");
-        self.head += 1;
+        debug_assert!(self.len > 0, "no fill in flight");
+        self.head = (self.head + 1) & self.mask();
+        self.len -= 1;
     }
 
     fn push_back(&mut self, fill: FillSchedule) {
-        // Drop the retired prefix once it outgrows both the slack and
-        // the live fills, so each live fill is moved O(1) times.
-        if self.head >= Self::SLACK.max(self.len()) {
-            self.buf.drain(..self.head);
-            self.head = 0;
+        debug_assert!(self.len < self.slots.len(), "more fills than MSHRs");
+        let tail = (self.head + self.len) & self.mask();
+        self.slots[tail] = fill;
+        self.len += 1;
+    }
+
+    /// Drops the fills complete at `now` — the lazy equivalent of
+    /// `Cpu::retire_fills`.
+    fn retire(&mut self, now: u64) {
+        while self.front().is_some_and(|f| f.is_complete(now)) {
+            self.pop_front();
         }
-        self.buf.push(fill);
+    }
+
+    /// The oldest live fill of the line holding `addr`.
+    fn covering(&self, addr: Addr) -> Option<&FillSchedule> {
+        (0..self.len).map(|i| self.get(i)).find(|f| f.covers(addr))
     }
 }
 
-/// Scalar replay state: everything `Cpu` tracks that timing depends on.
-struct ReplayState {
-    cycle: u64,
-    /// Instructions accounted into `cycle` so far.
+/// One configuration's replay state: everything `Cpu` tracks that
+/// timing depends on.
+///
+/// The write buffer sits behind a `Box` so that no pointer into this
+/// struct escapes to a call: in [`TimelineCpu::run`] the whole state
+/// then lives in registers for the whole replay.
+struct Replay {
+    /// Instructions accounted into the clock so far.
     instr: u64,
+    /// Stall cycles so far (the clock is `instr + lag`): unlike the
+    /// clock, it does not depend on the echoes a walk reads.
+    lag: u64,
+    /// When the memory port is next free.
     mem_free_at: u64,
-    fills: FillQueue,
-    wbuf: Option<WriteBuffer>,
-    /// Cycles to write one victim line back; fixed by the configuration.
-    line_write_time: u64,
     miss_stall: u64,
     flush_stall: u64,
+    fills: FillRing,
+    /// Outstanding fills allowed: NB's MSHRs, else one.
+    mshrs: usize,
+    wbuf: Option<Box<WriteBuffer>>,
+    /// A fill of this configuration's shape, relaunched for every miss.
+    shape: FillSchedule,
+    /// Cycles to write one victim line back; fixed by the configuration.
+    line_write_time: u64,
 }
 
-impl ReplayState {
-    fn new(cfg: &CpuConfig) -> Self {
-        ReplayState {
-            cycle: 0,
+impl Replay {
+    #[inline(always)] // keeps the state out of memory; see `Replay`
+    fn new(cfg: &CpuConfig, timeline: &MissTimeline) -> Self {
+        let line_bytes = cfg.dcache.line_bytes();
+        let mshrs = match cfg.stall {
+            StallFeature::NonBlocking { mshrs } => mshrs as usize,
+            _ => 1,
+        };
+        let shape = FillSchedule::new(&cfg.timing, line_bytes, Addr::new(0), 0);
+        Replay {
             instr: 0,
+            lag: 0,
             mem_free_at: 0,
-            fills: FillQueue::default(),
-            wbuf: cfg
-                .write_buffer
-                .map(|wc| WriteBuffer::new(wc.capacity, cfg.timing.beta_m(), wc.mode)),
-            line_write_time: cfg.timing.line_write_time(cfg.dcache.line_bytes()),
             miss_stall: 0,
             flush_stall: 0,
+            // No more fills can be in flight than the timeline has misses.
+            fills: FillRing::new(mshrs.min(timeline.events.len()).max(1), shape),
+            mshrs,
+            wbuf: cfg
+                .write_buffer
+                .map(|wc| Box::new(WriteBuffer::new(wc.capacity, cfg.timing.beta_m(), wc.mode))),
+            shape,
+            line_write_time: cfg.timing.line_write_time(line_bytes),
         }
+    }
+
+    /// The clock.
+    fn cycle(&self) -> u64 {
+        self.instr + self.lag
     }
 
     /// Advances the clock by the base cycle of every instruction up to
     /// and including `to` (one cycle each at single issue).
     fn advance(&mut self, to: u64) {
         debug_assert!(to >= self.instr);
-        self.cycle += to - self.instr;
         self.instr = to;
     }
 
-    /// Drops completed fills from the front — the lazy equivalent of
-    /// `Cpu::retire_fills` (fills complete in FIFO order because the
-    /// memory port serialises their schedules).
-    fn retire_fills(&mut self) {
-        let now = self.cycle;
-        while matches!(self.fills.front(), Some(f) if f.is_complete(now)) {
-            self.fills.pop_front();
-        }
+    /// Stalls the processor until `until`, if that is still ahead.
+    fn stall_until(&mut self, until: u64) {
+        let stall = until.saturating_sub(self.cycle());
+        self.miss_stall += stall;
+        self.lag += stall;
     }
 
-    /// `Cpu::conflict_stall`, with the residency question answered by
-    /// the timeline instead of the cache: an echo's line is always
-    /// resident, an event's never is.
-    #[inline(always)] // per scanned echo; see `scan_echoes`
-    fn conflict_stall(&mut self, stall: StallFeature, addr: Addr, resident: bool) {
-        let now = self.cycle;
-        let mut stall_until = now;
-        match stall {
-            StallFeature::FullStall => {}
-            StallFeature::BusLocked => {
-                if let Some(f) = self.fills.front() {
-                    if !f.is_complete(now) {
-                        stall_until = f.complete_at();
-                    }
-                }
-            }
-            StallFeature::BusNotLocked1 => {
-                if let Some(f) = self.fills.front() {
-                    if !f.is_complete(now) {
-                        let second_miss = !f.covers(addr) && !resident;
-                        if f.covers(addr) || second_miss {
-                            stall_until = f.complete_at();
-                        }
-                    }
-                }
-            }
-            StallFeature::BusNotLocked2 => {
-                if let Some(f) = self.fills.front() {
-                    if !f.is_complete(now) {
-                        if f.covers(addr) {
-                            if !f.chunk_available(addr, now) {
-                                stall_until = f.complete_at();
-                            }
-                        } else if !resident {
-                            stall_until = f.complete_at();
-                        }
-                    }
-                }
-            }
-            StallFeature::BusNotLocked3 => {
-                if let Some(f) = self.fills.front() {
-                    if !f.is_complete(now) {
-                        if f.covers(addr) {
-                            stall_until = f.chunk_available_at(addr).max(now);
-                        } else if !resident {
-                            stall_until = f.complete_at();
-                        }
-                    }
-                }
-            }
-            StallFeature::NonBlocking { .. } => {
-                if let Some(f) = self
-                    .fills
-                    .live()
-                    .iter()
-                    .find(|f| !f.is_complete(now) && f.covers(addr))
-                {
-                    stall_until = f.chunk_available_at(addr).max(now);
-                }
-            }
-        }
-        if stall_until > now {
-            self.miss_stall += stall_until - now;
-            self.cycle = stall_until;
-        }
-    }
-
-    /// One hit access at instruction `instr`: base cycle plus any
-    /// fill-conflict stall.
-    #[inline(always)] // per scanned echo; see `scan_echoes`
-    fn process_echo(&mut self, stall: StallFeature, instr: u64, addr: Addr) {
-        self.advance(instr);
-        self.retire_fills();
-        self.conflict_stall(stall, addr, true);
+    /// The replay kernel: one fill event, then its echo window.
+    #[inline(always)]
+    fn step<const F: u8>(&mut self, event: &MissEvent, instrs: &[u64], addrs: &[Addr]) {
+        let fill = self.event::<F>(event);
+        self.walk::<F>(&fill, instrs, addrs);
     }
 
     /// One fill event: conflict stall, MSHR wait, fill launch, resume
     /// rule and posted flush — exactly `Cpu::data_access`'s miss path.
-    fn process_event(&mut self, cfg: &CpuConfig, mshrs: usize, event: &MissEvent) {
+    /// Returns the launched fill, the last one in flight.
+    #[inline(always)]
+    fn event<const F: u8>(&mut self, event: &MissEvent) -> FillSchedule {
         self.advance(event.instr);
-        self.retire_fills();
-        self.conflict_stall(cfg.stall, event.addr, false);
-        self.retire_fills();
-
-        if self.fills.len() >= mshrs {
-            let free_at = self.fills.front().expect("fills non-empty").complete_at();
-            if free_at > self.cycle {
-                self.miss_stall += free_at - self.cycle;
-                self.cycle = free_at;
+        if F == NB {
+            // A miss on a line still streaming in waits for its chunk.
+            self.fills.retire(self.cycle());
+            let now = self.cycle();
+            if let Some(fill) = self.fills.covering(event.addr) {
+                self.stall_until(hit_waits::<F>(fill, event.addr, now));
             }
+            self.fills.retire(self.cycle());
+            // With every MSHR busy the oldest fill must complete first.
+            if self.fills.len >= self.mshrs {
+                let free_at = self.fills.front().expect("fills non-empty").complete_at();
+                self.stall_until(free_at);
+                self.fills.pop_front();
+            }
+        } else if let Some(fill) = self.fills.front() {
+            // The one MSHR: a miss (never resident) issued while the fill
+            // streams in waits for it under every feature — its Table 2
+            // conflict stall never outlasts the fill — and then for the
+            // MSHR, so it waits exactly until the fill completes.
+            self.stall_until(fill.complete_at());
             self.fills.pop_front();
         }
 
-        let line_bytes = cfg.dcache.line_bytes();
-        let issue = self.cycle - 1;
+        let cycle = self.cycle();
+        let issue = cycle - 1;
         let read_bypass_delay = self.wbuf.as_mut().map_or(0, |wb| wb.read_delay(issue));
         let start = (issue + read_bypass_delay).max(self.mem_free_at);
-        let sched = FillSchedule::new(&cfg.timing, line_bytes, event.addr, start);
+        let sched = self.shape.relaunch(event.addr, start);
         self.mem_free_at = sched.complete_at();
         if let Some(wb) = &mut self.wbuf {
             wb.occupy(start, sched.complete_at() - start);
         }
 
-        let resume = match cfg.stall {
-            StallFeature::FullStall => sched.complete_at(),
-            StallFeature::BusLocked
-            | StallFeature::BusNotLocked1
-            | StallFeature::BusNotLocked2
-            | StallFeature::BusNotLocked3 => sched.critical_arrives_at(),
-            StallFeature::NonBlocking { .. } => self.cycle,
+        let resume = match F {
+            FS => sched.complete_at(),
+            NB => cycle,
+            _ => sched.critical_arrives_at(),
         };
-        let end = resume.max(self.cycle);
-        self.miss_stall += end - self.cycle + 1;
-        self.cycle = end;
+        let end = resume.max(cycle);
+        self.miss_stall += end - cycle + 1;
+        self.lag += end - cycle;
 
         self.handle_flush(event.writeback, sched.complete_at());
         self.fills.push_back(sched);
+        sched
     }
 
     /// Posts the dirty victim's flush behind the fill that just started.
@@ -601,65 +664,47 @@ impl ReplayState {
                 debug_assert_eq!(self.mem_free_at, fill_complete);
                 let service = self.line_write_time * u64::from(writeback);
                 self.flush_stall += service;
-                self.cycle += service;
+                self.lag += service;
                 self.mem_free_at += service;
             }
         }
     }
 
-    /// Earliest cycle from which no in-flight fill can stall anything:
-    /// fills complete in FIFO order, so the back completes last.
-    fn fill_fence(&self) -> u64 {
-        self.fills.back().map_or(0, FillSchedule::complete_at)
-    }
-
-    /// Walks one event's echo window, stall-checking only echoes that
-    /// can still conflict with an in-flight fill.
+    /// Walks (part of) one event's echo window in a single pass,
+    /// stall-checking each echo while a fill is still in flight.
     ///
-    /// An echo stall-checks only while a fill is in flight: echo `e`
-    /// stalls iff `cycle + (e.instr − instr) < fence`. Between stalls
-    /// the lag (`cycle − instr`) is constant, so the whole eligible
-    /// window is one binary-search cut on the sorted echo index array;
-    /// a stall grows the lag, shrinking the cutoff, and the walk
-    /// resumes with a fresh cut. Fills only retire during echoes, so
-    /// the fence never moves.
-    ///
-    /// This walk, `process_echo` and `conflict_stall` are forced inline
-    /// into the replay loop: a call per event and per scanned echo cost
-    /// about a tenth of a replay.
+    /// `last_fill` is the event's fill, the last in flight: fills
+    /// complete in FIFO order, so nothing can stall once its completion
+    /// (the fence) has passed. Echo `e` is reached at cycle `e + lag`,
+    /// and only a stall moves the lag, so one running cutoff
+    /// `fence − lag` ends the walk. The fence never moves during a walk,
+    /// so a walk split into stretches (at snapshot marks) goes exactly as
+    /// one. The walk moves only the lag, held in a local.
     #[inline(always)]
-    fn scan_echoes(
-        &mut self,
-        stall: StallFeature,
-        echo_instrs: &[u64],
-        echo_addrs: &[Addr],
-        start: usize,
-        end: usize,
-    ) {
-        let fence = self.fill_fence();
-        let mut j = start;
-        while j < end && fence > self.cycle {
-            let cutoff = self.instr + (fence - self.cycle);
-            let upto = j + echo_instrs[j..end].partition_point(|&e| e < cutoff);
-            if upto == j {
+    fn walk<const F: u8>(&mut self, last_fill: &FillSchedule, instrs: &[u64], addrs: &[Addr]) {
+        let fence = last_fill.complete_at();
+        let lag0 = self.lag;
+        let mut lag = lag0;
+        let mut cutoff = fence.saturating_sub(lag);
+        for (&e, &addr) in instrs.iter().zip(addrs) {
+            if e >= cutoff {
                 break;
             }
-            let lag = self.cycle - self.instr;
-            let mut next = upto;
-            for jj in j..upto {
-                self.process_echo(stall, echo_instrs[jj], echo_addrs[jj]);
-                if self.cycle - self.instr != lag {
-                    next = jj + 1;
-                    break;
-                }
-            }
-            // Lag unchanged: every echo past the cut fails the
-            // original per-echo break condition too.
-            if next == upto && self.cycle - self.instr == lag {
-                break;
-            }
-            j = next;
+            let now = e + lag;
+            let until = if F == NB {
+                self.fills.retire(now);
+                self.fills
+                    .covering(addr)
+                    .map_or(now, |fill| hit_waits::<F>(fill, addr, now))
+            } else {
+                // The only fill in flight completes at the fence.
+                hit_waits::<F>(last_fill, addr, now)
+            };
+            lag += until - now;
+            cutoff = fence - lag;
         }
+        self.miss_stall += lag - lag0;
+        self.lag = lag;
     }
 }
 
@@ -671,64 +716,52 @@ impl<'a> TimelineCpu<'a> {
     /// Returns a description of the first unsupported aspect when the
     /// replay could not be exact (caller should use `Cpu::run`).
     pub fn new(timeline: &'a MissTimeline, cfg: CpuConfig) -> Result<Self, String> {
-        if cfg.dcache != timeline.cache {
+        Self::bind(timeline, ReplayConfig::new(cfg)?)
+    }
+
+    /// Binds a timeline to an already checked configuration.
+    ///
+    /// # Errors
+    ///
+    /// Returns an error when the configuration's data cache differs from
+    /// the one the timeline was extracted under.
+    pub fn bind(timeline: &'a MissTimeline, cfg: ReplayConfig) -> Result<Self, String> {
+        if cfg.0.dcache != timeline.cache {
             return Err("configuration's data cache differs from the timeline's".to_string());
         }
-        if cfg.icache.is_some() {
-            return Err("instruction caches make timing cache-history-dependent".to_string());
-        }
-        if cfg.l2.is_some() {
-            return Err("an L2 holds timing-dependent state".to_string());
-        }
-        if cfg.prefetch != Prefetch::None {
-            return Err("prefetching changes the cache's fill sequence".to_string());
-        }
-        if cfg.issue_width != 1 {
-            return Err("issue grouping couples base cycles to stall history".to_string());
-        }
-        cfg.validate()?;
-        Ok(TimelineCpu { timeline, cfg })
+        Ok(TimelineCpu {
+            timeline,
+            cfg: cfg.0,
+        })
     }
 
-    fn echo_bounds(&self, index: usize) -> (usize, usize) {
-        let events = &self.timeline.events;
-        let start = events[index].echo_start as usize;
-        let end = events
-            .get(index + 1)
-            .map_or(self.timeline.echo_instrs.len(), |next| {
-                next.echo_start as usize
-            });
-        (start, end)
-    }
-
-    fn mshrs(&self) -> usize {
-        match self.cfg.stall {
-            StallFeature::NonBlocking { mshrs } => mshrs as usize,
-            _ => 1,
-        }
+    /// This configuration's replay kernel.
+    fn step(&self) -> Step {
+        per_feature!(self.cfg.stall, F => Replay::step::<F> as Step)
     }
 
     /// Replays the event stream and returns the exact final result.
     pub fn run(&self) -> SimResult {
-        let mut st = ReplayState::new(&self.cfg);
-        let mshrs = self.mshrs();
-        // FS never stalls an in-between hit (the fill always completed
-        // at resume time), so its echoes need no walking at all.
-        let scan = self.cfg.stall != StallFeature::FullStall;
-        let echo_instrs = &self.timeline.echo_instrs;
-        let echo_addrs = &self.timeline.echo_addrs;
-        for (i, event) in self.timeline.events.iter().enumerate() {
+        per_feature!(self.cfg.stall, F => self.run_kernel::<F>())
+    }
+
+    fn run_kernel<const F: u8>(&self) -> SimResult {
+        let tl = self.timeline;
+        let mut st = Replay::new(&self.cfg, tl);
+        for (i, event) in tl.events.iter().enumerate() {
             if i % CANCEL_CHECK_EVENTS == 0 {
                 cancel::check();
             }
-            st.process_event(&self.cfg, mshrs, event);
-            if scan {
-                let (start, end) = self.echo_bounds(i);
-                st.scan_echoes(self.cfg.stall, echo_instrs, echo_addrs, start, end);
-            }
+            // FS hits never stall: its windows are not even sliced.
+            let (instrs, addrs) = if F != FS {
+                tl.window(i)
+            } else {
+                (&[][..], &[][..])
+            };
+            st.step::<F>(event, instrs, addrs);
         }
-        st.advance(self.timeline.instructions);
-        self.result(&st, self.timeline.stats, self.timeline.miss_distance_hist)
+        st.advance(tl.instructions);
+        self.result(&st, tl.stats, tl.miss_distance_hist)
     }
 
     /// Replays the event stream, snapshotting the accumulated result
@@ -736,51 +769,49 @@ impl<'a> TimelineCpu<'a> {
     /// `Cpu::snapshot` would at the same reference boundaries. Returns
     /// the snapshots and the final result.
     ///
-    /// Unlike [`TimelineCpu::run`], every reference is walked (the marks
-    /// are counted in references), so this costs `O(references)` — still
-    /// without any cache work.
+    /// Unlike [`TimelineCpu::run`], every reference is counted (the
+    /// marks are counted in references), so this costs `O(references)` —
+    /// still without any cache work.
     ///
     /// # Panics
     ///
-    /// Panics if `marks` is not ascending or exceeds the total number of
-    /// data references in the timeline.
+    /// Panics if `marks` is not positive and strictly ascending, or
+    /// exceeds the total number of data references in the timeline.
     pub fn run_with_marks(&self, marks: &[u64]) -> (Vec<SimResult>, SimResult) {
         assert!(
-            marks.windows(2).all(|w| w[0] < w[1]),
-            "marks must be strictly ascending"
+            marks.first().is_none_or(|&m| m > 0) && marks.windows(2).all(|w| w[0] < w[1]),
+            "marks must be positive and strictly ascending"
         );
-        let mut st = ReplayState::new(&self.cfg);
-        let mshrs = self.mshrs();
+        per_feature!(self.cfg.stall, F => self.run_marks_kernel::<F>(marks))
+    }
+
+    fn run_marks_kernel<const F: u8>(&self, marks: &[u64]) -> (Vec<SimResult>, SimResult) {
+        let tl = self.timeline;
+        let mut st = Replay::new(&self.cfg, tl);
         let mut snapshots = Vec::with_capacity(marks.len());
-        let mut next_mark = marks.iter().copied().peekable();
+        let mut pending = marks.iter().copied().peekable();
         let mut refs = 0u64;
         let mut stats = CacheStats::default();
         let mut hist = [0u64; 20];
         let mut last_fill_instr = None;
 
-        let mut after_ref =
-            |st: &ReplayState, stats: &CacheStats, hist: &[u64; 20], refs: &mut u64| {
-                *refs += 1;
-                if next_mark.peek() == Some(refs) {
-                    next_mark.next();
-                    snapshots.push(self.result(st, *stats, *hist));
-                }
-            };
-
-        for echo in &self.timeline.prelude {
+        for echo in &tl.prelude {
             st.advance(echo.instr);
             if echo.store {
                 stats.store_hits += 1;
             } else {
                 stats.load_hits += 1;
             }
-            after_ref(&st, &stats, &hist, &mut refs);
+            refs += 1;
+            if pending.next_if_eq(&refs).is_some() {
+                snapshots.push(self.result(&st, stats, hist));
+            }
         }
-        for (i, event) in self.timeline.events.iter().enumerate() {
+        for (i, event) in tl.events.iter().enumerate() {
             if i % CANCEL_CHECK_EVENTS == 0 {
                 cancel::check();
             }
-            st.process_event(&self.cfg, mshrs, event);
+            let fill = st.event::<F>(event);
             if let Some(last) = last_fill_instr {
                 hist[SimResult::distance_bucket(event.instr - last)] += 1;
             }
@@ -792,35 +823,49 @@ impl<'a> TimelineCpu<'a> {
             }
             stats.fills += 1;
             stats.writebacks += u64::from(event.writeback);
-            after_ref(&st, &stats, &hist, &mut refs);
-            let (start, end) = self.echo_bounds(i);
-            for j in start..end {
-                st.process_echo(
-                    self.cfg.stall,
-                    self.timeline.echo_instrs[j],
-                    self.timeline.echo_addrs[j],
-                );
-                if self.timeline.echo_stores[j] {
-                    stats.store_hits += 1;
-                } else {
-                    stats.load_hits += 1;
+            refs += 1;
+            if pending.next_if_eq(&refs).is_some() {
+                snapshots.push(self.result(&st, stats, hist));
+            }
+            // Walk the window in stretches, each ending at the next mark
+            // inside it or at the window's end.
+            let (instrs, addrs) = tl.window(i);
+            let stores = &tl.echo_stores[event.echo_start as usize..][..instrs.len()];
+            let (mut start, end) = (0, instrs.len());
+            while start < end {
+                let stop = pending
+                    .peek()
+                    .and_then(|&m| usize::try_from(m - refs).ok())
+                    .map_or(end, |to_mark| end.min(start.saturating_add(to_mark)));
+                st.walk::<F>(&fill, &instrs[start..stop], &addrs[start..stop]);
+                // Echoes the walk stopped short of cannot stall: only the
+                // clock moves.
+                st.advance(instrs[stop - 1]);
+                let hits = (stop - start) as u64;
+                let store_hits = stores[start..stop].iter().filter(|&&s| s).count() as u64;
+                stats.store_hits += store_hits;
+                stats.load_hits += hits - store_hits;
+                refs += hits;
+                if pending.next_if_eq(&refs).is_some() {
+                    snapshots.push(self.result(&st, stats, hist));
                 }
-                after_ref(&st, &stats, &hist, &mut refs);
+                start = stop;
             }
         }
         assert!(
-            next_mark.peek().is_none(),
+            pending.peek().is_none(),
             "marks exceed the timeline's {refs} data references"
         );
-        st.advance(self.timeline.instructions);
-        debug_assert_eq!(stats, self.timeline.stats);
+        st.advance(tl.instructions);
+        debug_assert_eq!(stats, tl.stats);
         let final_result = self.result(&st, stats, hist);
         (snapshots, final_result)
     }
 
-    fn result(&self, st: &ReplayState, dcache: CacheStats, hist: [u64; 20]) -> SimResult {
+    #[inline(always)] // keeps the state out of memory; see `Replay`
+    fn result(&self, st: &Replay, dcache: CacheStats, hist: [u64; 20]) -> SimResult {
         SimResult {
-            cycles: st.cycle,
+            cycles: st.cycle(),
             instructions: st.instr,
             base_cycles: st.instr - dcache.fills,
             dcache,
@@ -992,6 +1037,23 @@ mod tests {
         );
         assert!(!tl.supports(&other_cache));
         assert!(TimelineCpu::new(&tl, other_cache).is_err());
+    }
+
+    #[test]
+    fn a_checked_config_binds_without_a_second_check() {
+        let tl = MissTimeline::extract(cache(), trace(Spec92Program::Ear));
+        let cfg = CpuConfig::baseline(cache(), MemoryTiming::new(BusWidth::new(4).unwrap(), 8))
+            .with_stall(StallFeature::NonBlocking { mshrs: 4 });
+        let checked = ReplayConfig::new(cfg).unwrap();
+        let bound = TimelineCpu::bind(&tl, checked).unwrap().run();
+        assert_eq!(bound, tl.replay(&cfg));
+        // A config `validate` rejects fails with `validate`'s own message.
+        let bad = cfg.with_stall(StallFeature::NonBlocking { mshrs: 0 });
+        assert_eq!(ReplayConfig::new(bad), Err(bad.validate().unwrap_err()));
+        // Binding checks only that the timeline was extracted under the
+        // configuration's data cache.
+        let other = MissTimeline::extract(CacheConfig::new(4 * 1024, 32, 2).unwrap(), []);
+        assert!(TimelineCpu::bind(&other, checked).is_err());
     }
 
     #[test]

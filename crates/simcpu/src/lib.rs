@@ -44,6 +44,6 @@ pub mod validate;
 
 pub use config::{CpuConfig, L2Config, Prefetch, StallFeature, WriteBufferConfig};
 pub use cpu::Cpu;
-pub use events::{MissTimeline, MissTimelineBuilder, TimelineCpu};
+pub use events::{MissTimeline, MissTimelineBuilder, ReplayConfig, TimelineCpu};
 pub use result::{MeasuredProfile, SimResult};
 pub use validate::{predict_cycles, predict_cycles_multiissue, validation_error};

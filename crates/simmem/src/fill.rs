@@ -71,6 +71,27 @@ impl FillSchedule {
         }
     }
 
+    /// A fill of the same shape — the timing and line size this
+    /// schedule was built with — for the line holding `miss_addr`,
+    /// starting at `start`.
+    ///
+    /// Equal to [`FillSchedule::new`] under that timing and line size,
+    /// but it copies the shifts, masks and chunk offsets instead of
+    /// deriving them again: the replay launches one fill per miss, all of
+    /// one shape.
+    #[inline]
+    pub fn relaunch(&self, miss_addr: Addr, start: u64) -> Self {
+        let critical_at = start + (self.critical_at - self.start);
+        FillSchedule {
+            line: LineAddr::new(miss_addr.raw() >> self.line_shift),
+            start,
+            critical_at,
+            complete_at: critical_at + (self.complete_at - self.critical_at),
+            critical_chunk: (miss_addr.raw() >> self.chunk_shift) & self.chunk_mask,
+            ..*self
+        }
+    }
+
     /// The line being filled.
     #[inline]
     pub fn line(&self) -> LineAddr {
@@ -214,6 +235,22 @@ mod tests {
                     assert!(!f.is_complete(done - 1));
                     assert!(f.is_complete(done));
                     assert_eq!(f.line(), Addr::new(miss).line(line));
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn relaunch_equals_a_fresh_schedule() {
+        for t in every_timing(7) {
+            for line in LINES {
+                let shape = FillSchedule::new(&t, line, Addr::new(0), 0);
+                for (miss, start) in [(0x0, 0), (line - 1, 9), (5 * line + line / 2, 1234)] {
+                    assert_eq!(
+                        shape.relaunch(Addr::new(miss), start),
+                        FillSchedule::new(&t, line, Addr::new(miss), start),
+                        "{t} line {line} miss {miss:#x} start {start}"
+                    );
                 }
             }
         }

@@ -29,7 +29,7 @@ use crate::linesize::{optimal_line_eq19, optimal_line_smith, FillTiming, LineCan
 use crate::{mean_access_time, HitRatio, Machine, SystemConfig};
 use report::Json;
 use simcache::{Analytic, CacheConfig, HitRatioBackend, Resolution, Simulated, StackDistSweep};
-use simcpu::{CpuConfig, MissTimeline, StallFeature};
+use simcpu::{CpuConfig, MissTimeline, ReplayConfig, StallFeature, TimelineCpu};
 use simmem::{BusWidth, MemoryTiming};
 use simtrace::spec92::Spec92Program;
 use simtrace::workload::{self, WorkloadSpec};
@@ -1708,18 +1708,19 @@ fn simulate(q: &SimulateQuery, env: &dyn Workloads) -> Result<QueryResponse, Api
     let cache =
         CacheConfig::new(q.cache, q.line, 2).map_err(|e| ApiError::bad_request(e.to_string()))?;
     let bus = BusWidth::new(q.bus).map_err(|e| ApiError::bad_request(e.to_string()))?;
-    let cfg = CpuConfig::baseline(cache, MemoryTiming::new(bus, q.beta)).with_stall(stall);
-    cfg.validate().map_err(ApiError::bad_request)?;
+    // Checked once, before any timeline is fetched: a baseline config
+    // fails here only on `CpuConfig::validate`'s constraints.
+    let cfg = ReplayConfig::new(
+        CpuConfig::baseline(cache, MemoryTiming::new(bus, q.beta)).with_stall(stall),
+    )
+    .map_err(ApiError::bad_request)?;
     if !MissTimeline::supports_cache(&cache) {
         return bad("cache configuration does not admit timeline extraction");
     }
     let timeline = env.timeline(spec, q.seed, q.instructions, &cache);
-    if !timeline.supports(&cfg) {
-        return Err(ApiError::internal(
-            "timeline replay rejected a baseline configuration",
-        ));
-    }
-    let r = timeline.replay(&cfg);
+    let r = TimelineCpu::bind(&timeline, cfg)
+        .map_err(|_| ApiError::internal("timeline replay rejected a baseline configuration"))?
+        .run();
     Ok(QueryResponse::Simulate(SimulateResponse {
         query: q.clone(),
         cycles: r.cycles,

@@ -34,7 +34,8 @@ fn stalls() -> impl Strategy<Value = StallFeature> {
         Just(StallFeature::BusNotLocked1),
         Just(StallFeature::BusNotLocked2),
         Just(StallFeature::BusNotLocked3),
-        (1u32..5).prop_map(|m| StallFeature::NonBlocking { mshrs: m }),
+        // Ring capacities at and just past powers of two.
+        (1u32..=17).prop_map(|m| StallFeature::NonBlocking { mshrs: m }),
     ]
 }
 
@@ -182,4 +183,82 @@ fn unsupported_configs_fall_back_to_the_oracle_path() {
         .with_icache(CacheConfig::new(1024, 32, 1).unwrap());
     assert!(!timeline.supports(&cfg));
     assert!(TimelineCpu::new(&timeline, cfg).is_err());
+}
+
+/// Every stalling feature the sweep replays: NB with a fill ring that is
+/// exactly full (1, 4, 16 MSHRs) and one with a spare slot (3).
+const SWEEP_STALLS: [StallFeature; 9] = [
+    StallFeature::FullStall,
+    StallFeature::BusLocked,
+    StallFeature::BusNotLocked1,
+    StallFeature::BusNotLocked2,
+    StallFeature::BusNotLocked3,
+    StallFeature::NonBlocking { mshrs: 1 },
+    StallFeature::NonBlocking { mshrs: 3 },
+    StallFeature::NonBlocking { mshrs: 4 },
+    StallFeature::NonBlocking { mshrs: 16 },
+];
+
+/// A deterministic sweep of the whole supported space on short traces:
+/// every built-in proxy × line 16–64 × bus 4–32 × β {2, 8, 30} ×
+/// pipelined or not × three write-buffer settings × every stalling
+/// feature (11 664 configurations). Each point's `replay`, its slot in
+/// one `replay_batch` over its timeline, and the final result of a
+/// marked `run_with_marks` must all equal `Cpu::run`.
+#[test]
+fn sweep_matches_the_oracle_across_the_supported_space() {
+    const INSTRUCTIONS: usize = 1_000;
+    let write_buffers = [
+        None,
+        Some(WriteBufferConfig {
+            capacity: 4,
+            mode: BypassMode::Ideal,
+        }),
+        Some(WriteBufferConfig {
+            capacity: 2,
+            mode: BypassMode::ChunkGranular,
+        }),
+    ];
+    let mut points = 0;
+    for program in Spec92Program::ALL {
+        let trace: Vec<Instr> = spec92_trace(program, 7).take(INSTRUCTIONS).collect();
+        for line in [16u64, 32, 64] {
+            let cache = CacheConfig::new(2 * 1024, line, 2).expect("valid");
+            let timeline = MissTimeline::extract(cache, trace.iter().copied());
+            let refs = timeline.references();
+            let marks = [refs / 3, refs / 2].map(|m| m.max(1));
+            let mut cfgs = Vec::new();
+            for bus in [4u64, 8, 16, 32] {
+                for beta in [2u64, 8, 30] {
+                    for pipelined in [false, true] {
+                        let mut timing =
+                            MemoryTiming::new(BusWidth::new(bus).expect("valid"), beta);
+                        if pipelined {
+                            timing = timing.pipelined(beta / 2);
+                        }
+                        for wb in write_buffers {
+                            for stall in SWEEP_STALLS {
+                                let mut cfg = CpuConfig::baseline(cache, timing).with_stall(stall);
+                                cfg.write_buffer = wb;
+                                cfgs.push(cfg);
+                            }
+                        }
+                    }
+                }
+            }
+            let batch = timeline.replay_batch(&cfgs).expect("supported");
+            for (cfg, batched) in cfgs.iter().zip(&batch) {
+                let oracle = Cpu::new(*cfg).run(trace.iter().copied());
+                let what = format!("{program:?} line {line} {:?} {}", cfg.timing, cfg.stall);
+                assert_eq!(timeline.replay(cfg), oracle, "replay: {what}");
+                assert_eq!(*batched, oracle, "replay_batch: {what}");
+                let (_, marked) = TimelineCpu::new(&timeline, *cfg)
+                    .expect("supported")
+                    .run_with_marks(&marks);
+                assert_eq!(marked, oracle, "run_with_marks: {what}");
+                points += 1;
+            }
+        }
+    }
+    assert_eq!(points, 11_664);
 }
