@@ -15,8 +15,8 @@
 #                    the post-chaos canned answer is byte-identical to
 #                    a clean server's)
 #                    + workloads (every example spec validates, builtin
-#                    specs keep their pinned content hashes and stay
-#                    bit-identical to the legacy constructors)
+#                    specs keep their pinned content hashes and compile
+#                    to their pinned golden stream digests)
 #   ./ci.sh bench    additionally regenerate BENCH_sweep.json (figure-6
 #                    grid), BENCH_phi.json (figure-1 timeline engine),
 #                    BENCH_stream.json (5 M-instruction chunked
@@ -45,8 +45,8 @@
 #   ./ci.sh workloads run only the workload-spec gate (every example
 #                    spec in workloads/ validates; the six builtin
 #                    example files hash to the ids the registry serves;
-#                    builtins stay bit-identical to the legacy
-#                    spec92_trace constructors)
+#                    builtins compile to the golden SHA-256 stream
+#                    digests pinned in tests/workloads.rs)
 #
 # Exit codes: 0 green, 1 failure, 2 usage, 3 manifest drift,
 # 4 chaos worker death (the pool shrank), 5 chaos shed-policy drift
@@ -314,8 +314,8 @@ workloads_check() {
                 ;;
         esac
     done
-    # Builtin specs must compile bit-identically to the legacy
-    # spec92_trace constructors, and their content hashes stay pinned.
+    # Builtin specs must compile to their golden stream digests, and
+    # their content hashes stay pinned.
     cargo test --release -q --test workloads \
         || { echo "FAIL: workload contract tests"; exit 1; }
     echo "    $(ls workloads/*.json | wc -l) specs valid, 6 builtin ids pinned"

@@ -26,13 +26,11 @@ use bench::grid::{self, AnalyticBenchResult, DenseGrid, GridSpec};
 use criterion::{criterion_group, criterion_main, Criterion};
 use simcache::hitratio::SET_CONFLICT_TOLERANCE;
 use simcache::{Analytic, HitRatioBackend, Simulated};
-use simtrace::spec92::Spec92Program;
-use simtrace::workload::builtin_spec;
+use simtrace::workload::builtins;
 use std::time::Instant;
 
 const INSTRUCTIONS: usize = 5_000_000;
 const WARMUP: u64 = (INSTRUCTIONS as u64) / 5;
-const PROGRAMS: [Spec92Program; 6] = Spec92Program::ALL;
 
 /// The Figure-6 grid both backends answer: 7 capacities × 5 line
 /// sizes, two-way — 35 points per workload.
@@ -66,10 +64,10 @@ fn analytic_comparison(c: &mut Criterion) {
 
     // Leg 1: the simulated backend — sweep folds plus point reads.
     let start = Instant::now();
-    let sim_grids: Vec<Vec<f64>> = PROGRAMS
+    let sim_grids: Vec<Vec<f64>> = builtins()
         .iter()
-        .map(|&p| {
-            let backend: Simulated = grid::build_simulated(builtin_spec(p), &spec, INSTRUCTIONS);
+        .map(|p| {
+            let backend: Simulated = grid::build_simulated(p, &spec, INSTRUCTIONS);
             eval_grid(&backend, &spec)
         })
         .collect();
@@ -77,17 +75,17 @@ fn analytic_comparison(c: &mut Criterion) {
 
     // Leg 2: the one-time streaming histogram folds (cold store).
     let start = Instant::now();
-    for &p in &PROGRAMS {
-        std::hint::black_box(grid::build_analytic(builtin_spec(p), INSTRUCTIONS, WARMUP));
+    for p in builtins() {
+        std::hint::black_box(grid::build_analytic(p, INSTRUCTIONS, WARMUP));
     }
     let hist_pass_secs = start.elapsed().as_secs_f64();
 
     // Leg 3: closed-form Figure-6 answers from the warm store.
     let start = Instant::now();
-    let analytic_grids: Vec<Vec<f64>> = PROGRAMS
+    let analytic_grids: Vec<Vec<f64>> = builtins()
         .iter()
-        .map(|&p| {
-            let backend: Analytic = grid::build_analytic(builtin_spec(p), INSTRUCTIONS, WARMUP);
+        .map(|p| {
+            let backend: Analytic = grid::build_analytic(p, INSTRUCTIONS, WARMUP);
             eval_grid(&backend, &spec)
         })
         .collect();
@@ -110,22 +108,22 @@ fn analytic_comparison(c: &mut Criterion) {
     // Leg 4: the dense million-point grid, closed form only.
     let dense = DenseGrid::standard();
     let start = Instant::now();
-    for &p in &PROGRAMS {
-        let backend = grid::build_analytic(builtin_spec(p), INSTRUCTIONS, WARMUP);
+    for p in builtins() {
+        let backend = grid::build_analytic(p, INSTRUCTIONS, WARMUP);
         std::hint::black_box(grid::dense_best(&backend, &dense, 0.9));
     }
     let dense_eval_secs = start.elapsed().as_secs_f64();
 
     let result = AnalyticBenchResult {
         instructions: INSTRUCTIONS,
-        workloads: PROGRAMS.len(),
-        fig6_points: spec.points() * PROGRAMS.len(),
+        workloads: builtins().len(),
+        fig6_points: spec.points() * builtins().len(),
         sim_fig6_secs,
         analytic_fig6_secs,
         hist_pass_secs,
         max_delta_hr,
         tolerance: SET_CONFLICT_TOLERANCE,
-        dense_points: dense.points() * PROGRAMS.len(),
+        dense_points: dense.points() * builtins().len(),
         dense_eval_secs,
     };
     println!(
@@ -164,7 +162,7 @@ fn analytic_comparison(c: &mut Criterion) {
 
     // A reduced criterion point tracks the closed-form evaluation rate
     // (warm histograms, small dense slice) run to run.
-    let backend = grid::build_analytic(builtin_spec(PROGRAMS[0]), INSTRUCTIONS, WARMUP);
+    let backend = grid::build_analytic(&builtins()[0], INSTRUCTIONS, WARMUP);
     let small = DenseGrid::small();
     let mut group = c.benchmark_group("analytic_backend");
     group.bench_function("dense_small_warm", |b| {

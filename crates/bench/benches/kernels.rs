@@ -11,7 +11,7 @@ use simcpu::{Cpu, CpuConfig, L2Config, MissTimeline, Prefetch, StallFeature};
 use simmem::{BusWidth, MemoryTiming};
 use simtrace::encode::TraceBuffer;
 use simtrace::gen::{PatternTrace, TraceShape, ZipfWorkingSet};
-use simtrace::spec92::{spec92_trace, Spec92Program};
+use simtrace::workload::{builtin, builtins};
 use simtrace::Instr;
 use smithval::{validate_all_panels, DesignTargetModel};
 use tradeoff::api::SimulateQuery;
@@ -23,16 +23,17 @@ const N: usize = 50_000;
 fn trace_generation(c: &mut Criterion) {
     let mut g = c.benchmark_group("trace_generation");
     g.throughput(Throughput::Elements(N as u64));
-    for p in [Spec92Program::Nasa7, Spec92Program::Doduc] {
-        g.bench_function(p.name(), |b| {
-            b.iter(|| spec92_trace(p, 1).take(N).map(|i| i.pc.raw()).sum::<u64>())
+    for name in ["nasa7", "doduc"] {
+        let p = builtin(name).unwrap();
+        g.bench_function(name, |b| {
+            b.iter(|| p.compile(1).take(N).map(|i| i.pc.raw()).sum::<u64>())
         });
     }
     g.finish();
 }
 
 fn cache_simulation(c: &mut Criterion) {
-    let trace: Vec<Instr> = spec92_trace(Spec92Program::Swm256, 2).take(N).collect();
+    let trace: Vec<Instr> = builtin("swm256").unwrap().compile(2).take(N).collect();
     let mut g = c.benchmark_group("cache_simulation");
     g.throughput(Throughput::Elements(N as u64));
     for (name, cfg) in [
@@ -58,7 +59,7 @@ fn cache_simulation(c: &mut Criterion) {
 }
 
 fn cpu_simulation(c: &mut Criterion) {
-    let trace: Vec<Instr> = spec92_trace(Spec92Program::Wave5, 3).take(N).collect();
+    let trace: Vec<Instr> = builtin("wave5").unwrap().compile(3).take(N).collect();
     let mut g = c.benchmark_group("cpu_simulation");
     g.throughput(Throughput::Elements(N as u64));
     for stall in [StallFeature::FullStall, StallFeature::BusNotLocked3] {
@@ -90,9 +91,9 @@ fn cpu_simulation(c: &mut Criterion) {
 fn timeline_replay(c: &mut Criterion) {
     let query = SimulateQuery::default();
     let cache = CacheConfig::new(query.cache, query.line, 2).unwrap();
-    let timelines: Vec<_> = Spec92Program::ALL
-        .into_iter()
-        .map(|p| tracestore::spec_timeline(p, query.seed, N, &cache))
+    let timelines: Vec<_> = builtins()
+        .iter()
+        .map(|p| tracestore::workload_timeline(p, query.seed, N, &cache))
         .collect();
     let mut g = c.benchmark_group("replay");
     for stall in [
@@ -144,7 +145,7 @@ fn analytic_kernels(c: &mut Criterion) {
 }
 
 fn alternative_organisations(c: &mut Criterion) {
-    let trace: Vec<Instr> = spec92_trace(Spec92Program::Doduc, 4).take(N).collect();
+    let trace: Vec<Instr> = builtin("doduc").unwrap().compile(4).take(N).collect();
     let mut g = c.benchmark_group("alternative_organisations");
     g.throughput(Throughput::Elements(N as u64));
     g.bench_function("sector_64_8", |b| {
@@ -179,7 +180,7 @@ fn alternative_organisations(c: &mut Criterion) {
 }
 
 fn extended_cpu_paths(c: &mut Criterion) {
-    let trace: Vec<Instr> = spec92_trace(Spec92Program::Swm256, 5).take(N).collect();
+    let trace: Vec<Instr> = builtin("swm256").unwrap().compile(5).take(N).collect();
     let mut g = c.benchmark_group("extended_cpu_paths");
     g.throughput(Throughput::Elements(N as u64));
     let base = || {
@@ -211,7 +212,7 @@ fn extended_cpu_paths(c: &mut Criterion) {
 }
 
 fn trace_encoding(c: &mut Criterion) {
-    let trace: Vec<Instr> = spec92_trace(Spec92Program::Ear, 6).take(N).collect();
+    let trace: Vec<Instr> = builtin("ear").unwrap().compile(6).take(N).collect();
     let mut g = c.benchmark_group("trace_encoding");
     g.throughput(Throughput::Elements(N as u64));
     g.bench_function("encode", |b| {

@@ -16,7 +16,7 @@ use bench::fig1::{PhiBenchResult, BETAS};
 use criterion::{criterion_group, criterion_main, Criterion};
 use simcpu::{Cpu, CpuConfig, MissTimeline, SimResult, StallFeature, TimelineCpu};
 use simmem::{BusWidth, MemoryTiming};
-use simtrace::spec92::{spec92_trace, Spec92Program};
+use simtrace::workload::builtins;
 use std::time::Instant;
 
 const INSTRUCTIONS: usize = 120_000;
@@ -42,8 +42,8 @@ fn points() -> Vec<(StallFeature, u64)> {
 fn full_simulation() -> Vec<SimResult> {
     let mut out = Vec::new();
     for &(stall, beta) in &points() {
-        for p in Spec92Program::ALL {
-            out.push(Cpu::new(config(stall, beta)).run(spec92_trace(p, SEED).take(INSTRUCTIONS)));
+        for p in builtins() {
+            out.push(Cpu::new(config(stall, beta)).run(p.compile(SEED).take(INSTRUCTIONS)));
         }
     }
     out
@@ -52,11 +52,9 @@ fn full_simulation() -> Vec<SimResult> {
 /// The engine path: one trace generation + one cache pass per program,
 /// then every timing point is an `O(misses)` replay.
 fn timeline_replay() -> Vec<SimResult> {
-    let timelines: Vec<MissTimeline> = Spec92Program::ALL
+    let timelines: Vec<MissTimeline> = builtins()
         .iter()
-        .map(|&p| {
-            MissTimeline::extract(figure1_cache(32), spec92_trace(p, SEED).take(INSTRUCTIONS))
-        })
+        .map(|p| MissTimeline::extract(figure1_cache(32), p.compile(SEED).take(INSTRUCTIONS)))
         .collect();
     let mut out = Vec::new();
     for &(stall, beta) in &points() {

@@ -23,7 +23,7 @@ use simcache::explore::{hit_ratio_grid_replay, HitRatioPoint};
 use simcache::stackdist::StackDistSweep;
 use simcpu::{Cpu, CpuConfig, MissTimeline, MissTimelineBuilder, StallFeature};
 use simmem::{BusWidth, MemoryTiming};
-use simtrace::spec92::{spec92_trace, Spec92Program};
+use simtrace::workload::builtin;
 use simtrace::{Instr, ReuseHistograms};
 use std::time::Instant;
 
@@ -36,7 +36,7 @@ const INSTRUCTIONS: usize = 5_000_000;
 /// production sink attached.
 const LARGE_INSTRUCTIONS: usize = 50_000_000;
 const SEED: u64 = 7;
-const PROGRAM: Spec92Program = Spec92Program::Nasa7;
+const PROGRAM: &str = "nasa7";
 const LINES: [u64; 5] = [8, 16, 32, 64, 128];
 const ASSOC: u32 = 2;
 /// Figure-1 φ points: every blocking stall feature of Table 2 over the
@@ -83,7 +83,10 @@ fn config(stall: StallFeature, beta: u64, bus: u64) -> CpuConfig {
 }
 
 fn trace(n: usize) -> impl Iterator<Item = Instr> {
-    spec92_trace(PROGRAM, SEED).take(n)
+    builtin(PROGRAM)
+        .expect("a built-in workload")
+        .compile(SEED)
+        .take(n)
 }
 
 /// Assembles grid points from per-line-size sweeps, (cache, line) order

@@ -9,7 +9,7 @@
 use bench::sweep::SweepBenchResult;
 use criterion::{criterion_group, criterion_main, Criterion};
 use simcache::explore::{hit_ratio_grid, hit_ratio_grid_replay};
-use simtrace::spec92::{spec92_trace, Spec92Program};
+use simtrace::workload::builtin;
 use simtrace::Instr;
 use std::time::Instant;
 
@@ -22,7 +22,7 @@ fn sizes() -> Vec<u64> {
 }
 
 fn trace() -> impl Iterator<Item = Instr> {
-    spec92_trace(Spec92Program::Nasa7, 7).take(INSTRUCTIONS)
+    builtin("nasa7").unwrap().compile(7).take(INSTRUCTIONS)
 }
 
 /// Best-of-`reps` wall-clock seconds for one run of `f`.

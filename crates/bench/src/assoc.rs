@@ -10,11 +10,11 @@
 use crate::registry::{ExpReport, Experiment, RunCtx};
 use report::Table;
 use simcache::{Cache, CacheConfig, Replacement};
-use simtrace::spec92::{spec92_trace, Spec92Program};
+use simtrace::workload::{builtins, WorkloadSpec};
 
 /// Hit ratio of one (associativity, policy) point on one workload.
 pub fn hit_ratio(
-    program: Spec92Program,
+    program: &WorkloadSpec,
     assoc: u32,
     replacement: Replacement,
     instructions: usize,
@@ -23,7 +23,7 @@ pub fn hit_ratio(
         .expect("valid cache")
         .with_replacement(replacement);
     let mut cache = Cache::new(cfg);
-    for instr in spec92_trace(program, 0xA550).take(instructions) {
+    for instr in program.compile(0xA550).take(instructions) {
         if let Some(m) = instr.mem {
             cache.access(m.op, m.addr);
         }
@@ -32,10 +32,10 @@ pub fn hit_ratio(
 }
 
 /// The associativity ladder per workload (LRU).
-pub fn assoc_ladder(instructions: usize) -> Vec<(Spec92Program, Vec<f64>)> {
-    Spec92Program::ALL
+pub fn assoc_ladder(instructions: usize) -> Vec<(&'static WorkloadSpec, Vec<f64>)> {
+    builtins()
         .iter()
-        .map(|&p| {
+        .map(|p| {
             let hrs = [1u32, 2, 4, 8]
                 .iter()
                 .map(|&a| hit_ratio(p, a, Replacement::Lru, instructions))
@@ -46,16 +46,16 @@ pub fn assoc_ladder(instructions: usize) -> Vec<(Spec92Program, Vec<f64>)> {
 }
 
 /// The replacement-policy spread at 2-way, per workload.
-pub fn policy_spread(instructions: usize) -> Vec<(Spec92Program, Vec<(Replacement, f64)>)> {
+pub fn policy_spread(instructions: usize) -> Vec<(&'static WorkloadSpec, Vec<(Replacement, f64)>)> {
     let policies = [
         Replacement::Lru,
         Replacement::Fifo,
         Replacement::Random,
         Replacement::TreePlru,
     ];
-    Spec92Program::ALL
+    builtins()
         .iter()
-        .map(|&p| {
+        .map(|p| {
             let hrs = policies
                 .iter()
                 .map(|&r| (r, hit_ratio(p, 2, r, instructions)))
@@ -67,8 +67,8 @@ pub fn policy_spread(instructions: usize) -> Vec<(Spec92Program, Vec<(Replacemen
 
 /// Renders both tables.
 pub fn render(
-    ladder: &[(Spec92Program, Vec<f64>)],
-    spread: &[(Spec92Program, Vec<(Replacement, f64)>)],
+    ladder: &[(&'static WorkloadSpec, Vec<f64>)],
+    spread: &[(&'static WorkloadSpec, Vec<(Replacement, f64)>)],
 ) -> String {
     let mut a = Table::new(["program", "1-way", "2-way", "4-way", "8-way", "ΔHR 1→2-way"]);
     for (p, hrs) in ladder {
@@ -129,6 +129,7 @@ pub fn main_report() -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::common::proxy;
 
     #[test]
     fn associativity_mostly_helps_modulo_lru_cyclic_thrash() {
@@ -150,15 +151,15 @@ mod tests {
 
     #[test]
     fn lru_beats_random_on_reuse_heavy_code() {
-        let lru = hit_ratio(Spec92Program::Ear, 2, Replacement::Lru, 30_000);
-        let rand = hit_ratio(Spec92Program::Ear, 2, Replacement::Random, 30_000);
+        let lru = hit_ratio(proxy("ear"), 2, Replacement::Lru, 30_000);
+        let rand = hit_ratio(proxy("ear"), 2, Replacement::Random, 30_000);
         assert!(lru >= rand - 0.005, "LRU {lru} vs random {rand}");
     }
 
     #[test]
     fn plru_tracks_lru_closely_at_two_way() {
         // Tree-PLRU with two ways *is* LRU.
-        for p in [Spec92Program::Nasa7, Spec92Program::Doduc] {
+        for p in [proxy("nasa7"), proxy("doduc")] {
             let lru = hit_ratio(p, 2, Replacement::Lru, 20_000);
             let plru = hit_ratio(p, 2, Replacement::TreePlru, 20_000);
             assert!((lru - plru).abs() < 1e-12, "{p}: {lru} vs {plru}");

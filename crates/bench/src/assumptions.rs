@@ -18,13 +18,13 @@ use report::Table;
 use simcache::CacheConfig;
 use simcpu::{Cpu, CpuConfig, SimResult};
 use simmem::{BusWidth, MemoryTiming};
-use simtrace::spec92::Spec92Program;
+use simtrace::workload::{builtins, WorkloadSpec};
 
 /// The three variants per workload.
 #[derive(Debug, Clone, PartialEq)]
 pub struct AssumptionRow {
     /// Workload.
-    pub program: Spec92Program,
+    pub program: &'static WorkloadSpec,
     /// The paper's assumptions hold.
     pub baseline: SimResult,
     /// Assumption 1 relaxed: one shared external bus.
@@ -33,7 +33,7 @@ pub struct AssumptionRow {
     pub slow_writes: SimResult,
 }
 
-fn simulate(program: Spec92Program, shared: bool, slow_writes: bool, n: usize) -> SimResult {
+fn simulate(program: &WorkloadSpec, shared: bool, slow_writes: bool, n: usize) -> SimResult {
     let mut timing = MemoryTiming::new(BusWidth::new(4).expect("valid bus"), 8);
     if slow_writes {
         timing = timing.with_write_beta(16);
@@ -49,22 +49,22 @@ fn simulate(program: Spec92Program, shared: bool, slow_writes: bool, n: usize) -
     // The I-cache makes timing cache-history-dependent, so this
     // experiment keeps the full simulator — but the trace itself is
     // materialised once per program and shared by the three variants.
-    let trace = tracestore::spec_trace(program, 0xA55E, n);
+    let trace = tracestore::workload_trace(program, 0xA55E, n);
     Cpu::new(cfg).run(trace.iter().copied())
 }
 
 /// Runs the audit for every proxy: the 18 (program × variant) full
 /// simulations fan out over the [`crate::exec`] pool.
 pub fn run(instructions: usize) -> Vec<AssumptionRow> {
-    let jobs: Vec<(Spec92Program, bool, bool)> = Spec92Program::ALL
-        .into_iter()
+    let jobs: Vec<(&WorkloadSpec, bool, bool)> = builtins()
+        .iter()
         .flat_map(|p| [(p, false, false), (p, true, false), (p, false, true)])
         .collect();
     let results = crate::exec::parallel_map(&jobs, |&(program, shared, slow)| {
         simulate(program, shared, slow, instructions)
     });
-    Spec92Program::ALL
-        .into_iter()
+    builtins()
+        .iter()
         .zip(results.chunks(3))
         .map(|(program, chunk)| AssumptionRow {
             program,
@@ -152,16 +152,16 @@ mod tests {
     #[test]
     fn slow_writes_cost_scales_with_flush_ratio() {
         let rows = run(30_000);
-        let inflation = |p: Spec92Program| {
-            let r = rows.iter().find(|r| r.program == p).unwrap();
+        let inflation = |name: &str| {
+            let r = rows.iter().find(|r| r.program.label() == name).unwrap();
             r.slow_writes.cycles as f64 / r.baseline.cycles as f64
         };
         // ear flushes nearly every fill (α ≈ 0.9); doduc barely (α ≈ 0.3).
         assert!(
-            inflation(Spec92Program::Ear) > inflation(Spec92Program::Doduc),
+            inflation("ear") > inflation("doduc"),
             "ear {} vs doduc {}",
-            inflation(Spec92Program::Ear),
-            inflation(Spec92Program::Doduc)
+            inflation("ear"),
+            inflation("doduc")
         );
     }
 

@@ -22,7 +22,7 @@ use bench::grid::{self, GridSpec};
 use simcache::explore::measure_dcache;
 use simcache::hitratio::SET_CONFLICT_TOLERANCE;
 use simcache::CacheConfig;
-use simtrace::spec92::Spec92Program;
+use simtrace::workload::builtins;
 use std::process::ExitCode;
 
 fn usage() -> ExitCode {
@@ -46,13 +46,10 @@ fn main() -> ExitCode {
     let mut failed = false;
 
     // Gate 1: FA LRU bit-exactness against Cache replay.
-    for &program in &Spec92Program::ALL {
-        let analytic = grid::build_analytic(
-            simtrace::workload::builtin_spec(program),
-            instructions,
-            warmup,
-        );
-        let trace = bench::tracestore::spec_trace(program, bench::sweep::SWEEP_SEED, instructions);
+    for program in builtins() {
+        let analytic = grid::build_analytic(program, instructions, warmup);
+        let trace =
+            bench::tracestore::workload_trace(program, bench::sweep::SWEEP_SEED, instructions);
         for (line_bytes, lines) in [(16u64, 8u32), (32, 64), (64, 256)] {
             let cfg = CacheConfig::new(line_bytes * u64::from(lines), line_bytes, lines)
                 .expect("valid fully-associative geometry");
@@ -71,12 +68,12 @@ fn main() -> ExitCode {
     }
     println!(
         "analytic_check: FA LRU bit-exact vs Cache replay across {} proxies",
-        Spec92Program::ALL.len()
+        builtins().len()
     );
 
     // Gate 2: set-conflict model within tolerance on the comparison grid.
     let spec = GridSpec::comparison(warmup);
-    let results = grid::compare(&Spec92Program::ALL, &spec, instructions);
+    let results = grid::compare(&builtins().iter().collect::<Vec<_>>(), &spec, instructions);
     let mut global_max = 0.0f64;
     for wg in &results {
         let max = wg.max_delta();

@@ -20,15 +20,23 @@ use simcache::explore::{hit_ratio_grid_replay, HitRatioPoint};
 use simcache::stackdist::StackDistSweep;
 use simcpu::{Cpu, CpuConfig, MissTimeline, MissTimelineBuilder, StallFeature, TimelineCpu};
 use simmem::{BusWidth, MemoryTiming};
-use simtrace::spec92::{spec92_trace, Spec92Program};
+use simtrace::workload::{builtin, CompiledTrace};
 use simtrace::{Instr, INSTR_BYTES};
 use std::process::ExitCode;
 
 const SEED: u64 = 7;
-const PROGRAM: Spec92Program = Spec92Program::Nasa7;
+const PROGRAM: &str = "nasa7";
 const LINES: [u64; 5] = [8, 16, 32, 64, 128];
 const ASSOC: u32 = 2;
 const BETAS: [u64; 3] = [4, 22, 50];
+
+/// The first `n` instructions of the smoke workload.
+fn trace(n: usize) -> std::iter::Take<CompiledTrace> {
+    builtin(PROGRAM)
+        .expect("a built-in workload")
+        .compile(SEED)
+        .take(n)
+}
 
 fn usage() -> ExitCode {
     eprintln!("usage: stream_smoke [--instructions N] [--rss-limit-mb MB]");
@@ -117,7 +125,7 @@ fn streamed(n: usize, sizes: &[u64], chunk: usize) -> (Vec<HitRatioPoint>, Vec<f
         })
         .collect();
     sinks.push(FoldSink::Timeline(MissTimelineBuilder::new(phi_cache())));
-    let mut out = stream::broadcast(spec92_trace(PROGRAM, SEED).take(n), chunk, sinks);
+    let mut out = stream::broadcast(trace(n), chunk, sinks);
     let timeline: MissTimeline = out.pop().expect("timeline sink").into_timeline();
     let sweeps: Vec<StackDistSweep> = out.into_iter().map(FoldOut::into_sweep).collect();
     let phis = phi_points()
@@ -182,7 +190,7 @@ fn main() -> ExitCode {
     }
 
     // Oracle gate: materialise-then-scan must agree byte for byte.
-    let whole: Vec<Instr> = spec92_trace(PROGRAM, SEED).take(instructions).collect();
+    let whole: Vec<Instr> = trace(instructions).collect();
     let oracle_grid = hit_ratio_grid_replay(
         &sizes,
         &LINES,

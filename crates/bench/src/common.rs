@@ -3,7 +3,7 @@
 use simcache::CacheConfig;
 use simcpu::{Cpu, CpuConfig, MissTimeline, SimResult, StallFeature, TimelineCpu};
 use simmem::{BusWidth, MemoryTiming};
-use simtrace::spec92::Spec92Program;
+use simtrace::workload::{builtins, WorkloadSpec};
 use std::path::PathBuf;
 
 use crate::tracestore::{self, SPEC_SEED};
@@ -21,6 +21,15 @@ pub fn instructions_per_run() -> usize {
         .ok()
         .and_then(|v| v.parse().ok())
         .unwrap_or(120_000)
+}
+
+/// The built-in SPEC92 proxy named `name` (`"ear"`, …).
+///
+/// # Panics
+///
+/// Panics if `name` is not one of the six built-ins.
+pub fn proxy(name: &str) -> &'static WorkloadSpec {
+    simtrace::workload::builtin(name).unwrap_or_else(|| panic!("no built-in workload {name:?}"))
 }
 
 /// The paper's Figure 1 cache: 8 KB, two-way, write-allocate.
@@ -47,7 +56,7 @@ fn spec_config(stall: StallFeature, line_bytes: u64, bus_bytes: u64, beta_m: u64
 /// Falls back to [`run_spec_oracle`] for configurations the timeline
 /// cannot replay exactly.
 pub fn run_spec(
-    program: Spec92Program,
+    program: &WorkloadSpec,
     stall: StallFeature,
     line_bytes: u64,
     bus_bytes: u64,
@@ -55,7 +64,7 @@ pub fn run_spec(
     instructions: usize,
 ) -> SimResult {
     let cfg = spec_config(stall, line_bytes, bus_bytes, beta_m);
-    let timeline = tracestore::spec_timeline(program, SPEC_SEED, instructions, &cfg.dcache);
+    let timeline = tracestore::workload_timeline(program, SPEC_SEED, instructions, &cfg.dcache);
     match TimelineCpu::new(&timeline, cfg) {
         Ok(replay) => replay.run(),
         Err(_) => run_spec_oracle(program, stall, line_bytes, bus_bytes, beta_m, instructions),
@@ -66,7 +75,7 @@ pub fn run_spec(
 /// oracle path [`run_spec`] is asserted against, kept public for the
 /// `phi` criterion bench and any configuration the timeline rejects.
 pub fn run_spec_oracle(
-    program: Spec92Program,
+    program: &WorkloadSpec,
     stall: StallFeature,
     line_bytes: u64,
     bus_bytes: u64,
@@ -74,7 +83,7 @@ pub fn run_spec_oracle(
     instructions: usize,
 ) -> SimResult {
     let cfg = spec_config(stall, line_bytes, bus_bytes, beta_m);
-    let trace = tracestore::spec_trace(program, SPEC_SEED, instructions);
+    let trace = tracestore::workload_trace(program, SPEC_SEED, instructions);
     Cpu::new(cfg).run(trace.iter().copied())
 }
 
@@ -95,17 +104,17 @@ pub fn phi_matrix(
 ) -> Vec<f64> {
     let cache = figure1_cache(line_bytes);
     // One cache pass per program (memoised across calls), in parallel.
-    let timelines = crate::exec::parallel_map(&Spec92Program::ALL, |&p| {
-        tracestore::spec_timeline(p, SPEC_SEED, instructions, &cache)
+    let timelines = crate::exec::parallel_map(builtins(), |p| {
+        tracestore::workload_timeline(p, SPEC_SEED, instructions, &cache)
     });
-    let jobs: Vec<(usize, Spec92Program, std::sync::Arc<MissTimeline>)> = points
+    let jobs: Vec<(usize, &WorkloadSpec, std::sync::Arc<MissTimeline>)> = points
         .iter()
         .enumerate()
         .flat_map(|(i, _)| {
-            Spec92Program::ALL
+            builtins()
                 .iter()
                 .zip(&timelines)
-                .map(move |(&p, tl)| (i, p, std::sync::Arc::clone(tl)))
+                .map(move |(p, tl)| (i, p, std::sync::Arc::clone(tl)))
         })
         .collect();
     let phis = crate::exec::parallel_map(&jobs, |(i, program, timeline)| {
@@ -114,11 +123,11 @@ pub fn phi_matrix(
         match TimelineCpu::new(timeline, cfg) {
             Ok(replay) => replay.run().phi(),
             Err(_) => {
-                run_spec_oracle(*program, stall, line_bytes, bus_bytes, beta_m, instructions).phi()
+                run_spec_oracle(program, stall, line_bytes, bus_bytes, beta_m, instructions).phi()
             }
         }
     });
-    let per_point = Spec92Program::ALL.len();
+    let per_point = builtins().len();
     phis.chunks(per_point)
         .map(|chunk| chunk.iter().sum::<f64>() / per_point as f64)
         .collect()
@@ -146,8 +155,8 @@ pub fn average_phi(
 /// simulated.
 pub fn average_alpha(line_bytes: u64, _bus_bytes: u64, _beta_m: u64, instructions: usize) -> f64 {
     let cache = figure1_cache(line_bytes);
-    let alphas = crate::exec::parallel_map(&Spec92Program::ALL, |&p| {
-        let stats = *tracestore::spec_timeline(p, SPEC_SEED, instructions, &cache).stats();
+    let alphas = crate::exec::parallel_map(builtins(), |p| {
+        let stats = *tracestore::workload_timeline(p, SPEC_SEED, instructions, &cache).stats();
         stats.flush_ratio()
     });
     alphas.iter().sum::<f64>() / alphas.len() as f64
@@ -159,14 +168,7 @@ mod tests {
 
     #[test]
     fn run_spec_produces_activity() {
-        let r = run_spec(
-            Spec92Program::Ear,
-            StallFeature::FullStall,
-            32,
-            4,
-            8,
-            10_000,
-        );
+        let r = run_spec(proxy("ear"), StallFeature::FullStall, 32, 4, 8, 10_000);
         assert_eq!(r.instructions, 10_000);
         assert!(r.dcache.fills > 0);
         assert!(r.cycles > r.instructions);
@@ -178,8 +180,8 @@ mod tests {
             StallFeature::BusLocked,
             StallFeature::NonBlocking { mshrs: 4 },
         ] {
-            let fast = run_spec(Spec92Program::Doduc, stall, 32, 4, 15, 8_000);
-            let slow = run_spec_oracle(Spec92Program::Doduc, stall, 32, 4, 15, 8_000);
+            let fast = run_spec(proxy("doduc"), stall, 32, 4, 15, 8_000);
+            let slow = run_spec_oracle(proxy("doduc"), stall, 32, 4, 15, 8_000);
             assert_eq!(fast, slow, "{stall}");
         }
     }
@@ -220,17 +222,10 @@ mod tests {
 
     #[test]
     fn average_alpha_matches_full_simulation() {
-        let direct = run_spec_oracle(
-            Spec92Program::Swm256,
-            StallFeature::FullStall,
-            32,
-            4,
-            8,
-            10_000,
-        )
-        .alpha();
+        let direct =
+            run_spec_oracle(proxy("swm256"), StallFeature::FullStall, 32, 4, 8, 10_000).alpha();
         let cache = figure1_cache(32);
-        let timeline = tracestore::spec_timeline(Spec92Program::Swm256, SPEC_SEED, 10_000, &cache);
+        let timeline = tracestore::workload_timeline(proxy("swm256"), SPEC_SEED, 10_000, &cache);
         assert_eq!(timeline.stats().flush_ratio(), direct);
     }
 }

@@ -12,20 +12,20 @@
 use crate::registry::{ExpReport, Experiment, RunCtx};
 use report::Table;
 use simcache::{Cache, CacheConfig};
-use simtrace::spec92::{spec92_trace, Spec92Program};
+use simtrace::workload::{builtins, WorkloadSpec};
 use tradeoff::equiv::hit_gain_equivalent;
 use tradeoff::{HitRatio, Machine, SystemConfig, TradeoffError};
 
 /// Hit ratio with caches flushed every `switch_interval` instructions
 /// (`None` = no switching).
 pub fn hit_ratio_with_switches(
-    program: Spec92Program,
+    program: &WorkloadSpec,
     switch_interval: Option<u64>,
     instructions: usize,
 ) -> f64 {
     let mut cache = Cache::new(CacheConfig::new(8 * 1024, 32, 2).expect("valid cache"));
     let mut since_switch = 0u64;
-    for instr in spec92_trace(program, 0xC0DE).take(instructions) {
+    for instr in program.compile(0xC0DE).take(instructions) {
         since_switch += 1;
         if let Some(interval) = switch_interval {
             if since_switch >= interval {
@@ -44,7 +44,7 @@ pub fn hit_ratio_with_switches(
 #[derive(Debug, Clone, PartialEq)]
 pub struct SwitchRow {
     /// Workload.
-    pub program: Spec92Program,
+    pub program: &'static WorkloadSpec,
     /// Hit ratio without switching.
     pub base_hr: f64,
     /// Hit ratios at each switch interval.
@@ -56,9 +56,9 @@ pub const INTERVALS: [u64; 3] = [100_000, 20_000, 5_000];
 
 /// Runs the study over all proxies.
 pub fn run(instructions: usize) -> Vec<SwitchRow> {
-    Spec92Program::ALL
+    builtins()
         .iter()
-        .map(|&program| SwitchRow {
+        .map(|program| SwitchRow {
             program,
             base_hr: hit_ratio_with_switches(program, None, instructions),
             switched_hr: INTERVALS
@@ -148,6 +148,7 @@ pub fn main_report() -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::common::proxy;
 
     #[test]
     fn switching_degrades_hit_ratio_monotonically() {
@@ -167,15 +168,12 @@ mod tests {
     #[test]
     fn frequent_switching_hurts_reuse_heavy_code_most() {
         let rows = run(40_000);
-        let loss = |p: Spec92Program| {
+        let loss = |p: &WorkloadSpec| {
             let r = rows.iter().find(|r| r.program == p).unwrap();
             r.base_hr - r.switched_hr.last().unwrap().1
         };
         // ear lives on temporal reuse; the streaming sweeps barely care.
-        assert!(
-            loss(Spec92Program::Ear) > loss(Spec92Program::Swm256),
-            "{rows:?}"
-        );
+        assert!(loss(proxy("ear")) > loss(proxy("swm256")), "{rows:?}");
     }
 
     #[test]

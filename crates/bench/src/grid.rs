@@ -25,8 +25,7 @@ use report::{Artifact, Table};
 use simcache::hitratio::SET_CONFLICT_TOLERANCE;
 use simcache::stackdist::StackDistSweep;
 use simcache::{Analytic, HitRatioBackend, Simulated};
-use simtrace::spec92::Spec92Program;
-use simtrace::workload::{builtin_spec, WorkloadSpec};
+use simtrace::workload::{builtins, WorkloadSpec};
 
 // The grid shapes (and the dense-grid search) are owned by the typed
 // query API so the CLI, the query server and this experiment provably
@@ -110,7 +109,7 @@ impl GridPoint {
 #[derive(Debug, Clone)]
 pub struct WorkloadGrid {
     /// The workload.
-    pub program: Spec92Program,
+    pub program: &'static WorkloadSpec,
     /// Points answered by both backends.
     pub points: Vec<GridPoint>,
 }
@@ -136,16 +135,15 @@ impl WorkloadGrid {
 ///
 /// Panics if a grid combination is outside either backend's coverage.
 pub fn compare(
-    programs: &[Spec92Program],
+    programs: &[&'static WorkloadSpec],
     spec: &GridSpec,
     instructions: usize,
 ) -> Vec<WorkloadGrid> {
     programs
         .iter()
         .map(|&program| {
-            let workload = builtin_spec(program);
-            let sim = build_simulated(workload, spec, instructions);
-            let analytic = build_analytic(workload, instructions, spec.warmup);
+            let sim = build_simulated(program, spec, instructions);
+            let analytic = build_analytic(program, instructions, spec.warmup);
             let mut points = Vec::with_capacity(spec.points());
             for &cache_bytes in &spec.cache_sizes {
                 for &line_bytes in &spec.line_sizes {
@@ -225,7 +223,7 @@ pub fn artifact(results: &[WorkloadGrid]) -> Artifact {
 /// Renders the dense-grid capacity-planning table: per workload, the
 /// cheapest geometry reaching `target_hr`.
 pub fn dense_render(
-    programs: &[Spec92Program],
+    programs: &[&'static WorkloadSpec],
     grid: &DenseGrid,
     instructions: usize,
     warmup: u64,
@@ -233,7 +231,7 @@ pub fn dense_render(
 ) -> String {
     let mut t = Table::new(["program", "cache", "geometry", "hit ratio"]);
     for &program in programs {
-        let analytic = build_analytic(builtin_spec(program), instructions, warmup);
+        let analytic = build_analytic(program, instructions, warmup);
         let row = match dense_best(&analytic, grid, target_hr) {
             Some(b) => [
                 program.to_string(),
@@ -367,7 +365,8 @@ impl Experiment for Exp {
         let instructions = ctx.instructions;
         let warmup = instructions as u64 / 5;
         let spec = GridSpec::comparison(warmup);
-        let results = compare(&Spec92Program::ALL, &spec, instructions);
+        let all: Vec<_> = builtins().iter().collect();
+        let results = compare(&all, &spec, instructions);
         let mut out = render(&results, &spec);
         // The dense sweep's cost is trace-length independent; what the
         // short (CI fault/registry) suites need to bound is the
@@ -378,13 +377,7 @@ impl Experiment for Exp {
         } else {
             DenseGrid::small()
         };
-        out.push_str(&dense_render(
-            &Spec92Program::ALL,
-            &dense,
-            instructions,
-            warmup,
-            0.9,
-        ));
+        out.push_str(&dense_render(&all, &dense, instructions, warmup, 0.9));
         ExpReport {
             section: out,
             artifacts: vec![artifact(&results)],
@@ -400,6 +393,7 @@ pub fn main_report() -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::common::proxy;
 
     fn small_spec() -> GridSpec {
         GridSpec {
@@ -423,7 +417,7 @@ mod tests {
     #[test]
     fn both_backends_answer_every_point_within_tolerance() {
         let spec = small_spec();
-        let results = compare(&[Spec92Program::Ear], &spec, 6_000);
+        let results = compare(&[proxy("ear")], &spec, 6_000);
         assert_eq!(results.len(), 1);
         assert_eq!(results[0].points.len(), spec.points());
         for p in &results[0].points {
@@ -441,7 +435,7 @@ mod tests {
     #[test]
     fn render_and_artifact_cover_the_grid() {
         let spec = small_spec();
-        let results = compare(&[Spec92Program::Ear], &spec, 4_000);
+        let results = compare(&[proxy("ear")], &spec, 4_000);
         let text = render(&results, &spec);
         assert!(text.contains("ear"));
         assert!(text.contains("tolerance"));
@@ -455,7 +449,7 @@ mod tests {
 
     #[test]
     fn dense_best_finds_a_minimal_geometry() {
-        let analytic = build_analytic(builtin_spec(Spec92Program::Ear), 6_000, 1_000);
+        let analytic = build_analytic(proxy("ear"), 6_000, 1_000);
         let grid = DenseGrid::small();
         let best = dense_best(&analytic, &grid, 0.5).expect("ear reaches 50% somewhere");
         assert!(best.hit_ratio >= 0.5);
@@ -465,7 +459,7 @@ mod tests {
         );
         // An impossible target is reported as unreachable, not panicked.
         assert!(dense_best(&analytic, &grid, 1.1).is_none());
-        let text = dense_render(&[Spec92Program::Ear], &grid, 6_000, 1_000, 0.5);
+        let text = dense_render(&[proxy("ear")], &grid, 6_000, 1_000, 0.5);
         assert!(text.contains("ear"));
         assert!(text.contains("sets ×"));
     }

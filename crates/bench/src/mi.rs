@@ -9,12 +9,12 @@
 //! 2. Simulated: the issue-width-capable CPU simulator versus the
 //!    generalised Eq. 2, closing the loop for `w ∈ {1, 2, 4, 8}`.
 
-use crate::common::figure1_cache;
+use crate::common::{figure1_cache, proxy};
 use crate::registry::{ExpReport, Experiment, RunCtx};
 use report::Table;
 use simcpu::{predict_cycles_multiissue, Cpu, CpuConfig};
 use simmem::{BusWidth, MemoryTiming};
-use simtrace::spec92::{spec92_trace, Spec92Program};
+use simtrace::WorkloadSpec;
 use tradeoff::multiissue::{miss_traffic_ratio_limit, traded_hit_ratio_w};
 use tradeoff::{HitRatio, Machine, SystemConfig, TradeoffError};
 
@@ -63,7 +63,7 @@ pub struct WidthValidation {
 
 /// Simulates one proxy across issue widths and checks the generalised
 /// model.
-pub fn simulate_widths(program: Spec92Program, instructions: usize) -> Vec<WidthValidation> {
+pub fn simulate_widths(program: &WorkloadSpec, instructions: usize) -> Vec<WidthValidation> {
     [1u32, 2, 4, 8]
         .into_iter()
         .map(|width| {
@@ -72,7 +72,7 @@ pub fn simulate_widths(program: Spec92Program, instructions: usize) -> Vec<Width
                 MemoryTiming::new(BusWidth::new(4).expect("valid bus"), 8),
             )
             .with_issue_width(width);
-            let r = Cpu::new(cfg).run(spec92_trace(program, 0xD0D0).take(instructions));
+            let r = Cpu::new(cfg).run(program.compile(0xD0D0).take(instructions));
             let predicted = predict_cycles_multiissue(&r, width);
             WidthValidation {
                 width,
@@ -107,12 +107,12 @@ impl Experiment for Exp {
         out.push('\n');
 
         let mut t = Table::new(["program", "w", "simulated", "Eq.2(w) predicted", "rel err"]);
-        for p in [Spec92Program::Ear, Spec92Program::Swm256] {
+        for name in ["ear", "swm256"] {
             // The width ladder replays the trace once per w; the clamp
             // keeps the suite's wall-clock in check.
-            for v in simulate_widths(p, ctx.instructions.min(60_000)) {
+            for v in simulate_widths(proxy(name), ctx.instructions.min(60_000)) {
                 t.row([
-                    p.to_string(),
+                    name.to_string(),
                     v.width.to_string(),
                     v.simulated.to_string(),
                     format!("{:.0}", v.predicted),
@@ -148,14 +148,14 @@ mod tests {
 
     #[test]
     fn generalized_model_tracks_simulation_within_issue_rounding() {
-        for v in simulate_widths(Spec92Program::Ear, 20_000) {
+        for v in simulate_widths(proxy("ear"), 20_000) {
             assert!(v.rel_error < 0.05, "w={}: err {}", v.width, v.rel_error);
         }
     }
 
     #[test]
     fn wider_issue_means_fewer_cycles_and_higher_memory_share() {
-        let vs = simulate_widths(Spec92Program::Swm256, 20_000);
+        let vs = simulate_widths(proxy("swm256"), 20_000);
         for pair in vs.windows(2) {
             assert!(pair[1].simulated <= pair[0].simulated);
         }

@@ -81,9 +81,8 @@ impl Workloads for StoreWorkloads {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::common::proxy;
     use crate::sweep::SWEEP_SEED;
-    use simtrace::spec92::Spec92Program;
-    use simtrace::workload::builtin_spec;
     use tradeoff::api::{self, GRID_SEED, HIST_DISTANCE_CAP, HIST_LINE_RANGE};
 
     #[test]
@@ -100,7 +99,7 @@ mod tests {
         let instructions = 5_000;
         let warmup = instructions as u64 / 5;
         let via_api = StoreWorkloads.histograms(
-            builtin_spec(Spec92Program::Doduc),
+            proxy("doduc"),
             GRID_SEED,
             instructions,
             HIST_LINE_RANGE.0,
@@ -108,8 +107,8 @@ mod tests {
             HIST_DISTANCE_CAP,
             warmup,
         );
-        let via_suite = tracestore::spec_histograms(
-            Spec92Program::Doduc,
+        let via_suite = tracestore::workload_histograms(
+            proxy("doduc"),
             SWEEP_SEED,
             instructions,
             8,

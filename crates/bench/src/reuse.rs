@@ -9,7 +9,7 @@
 use crate::registry::{ExpReport, Experiment, RunCtx};
 use report::{chart::sparkline, Table};
 use simtrace::reuse::ReuseProfile;
-use simtrace::spec92::{spec92_trace, Spec92Program};
+use simtrace::workload::{builtins, WorkloadSpec};
 
 /// Distances are bucketed logarithmically for display.
 fn log_buckets(hist: &[u64]) -> Vec<u64> {
@@ -25,19 +25,19 @@ fn log_buckets(hist: &[u64]) -> Vec<u64> {
 #[derive(Debug, Clone, PartialEq)]
 pub struct ReuseRow {
     /// Workload.
-    pub program: Spec92Program,
+    pub program: &'static WorkloadSpec,
     /// The profile (line granularity 32 B, distances capped at 4096).
     pub profile: ReuseProfile,
 }
 
 /// Profiles every proxy.
 pub fn run(instructions: usize) -> Vec<ReuseRow> {
-    Spec92Program::ALL
+    builtins()
         .iter()
-        .map(|&program| ReuseRow {
+        .map(|program| ReuseRow {
             program,
             profile: ReuseProfile::from_trace(
-                spec92_trace(program, 0x2E05E).take(instructions),
+                program.compile(0x2E05E).take(instructions),
                 32,
                 4096,
             ),
@@ -106,6 +106,7 @@ pub fn main_report() -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::common::proxy;
 
     #[test]
     fn profiles_cover_all_references() {
@@ -118,7 +119,7 @@ mod tests {
     #[test]
     fn reuse_heavy_ear_needs_fewer_lines_than_streaming_swm() {
         let rows = run(20_000);
-        let cap = |p: Spec92Program| {
+        let cap = |p: &WorkloadSpec| {
             rows.iter()
                 .find(|r| r.program == p)
                 .unwrap()
@@ -126,7 +127,7 @@ mod tests {
                 .capacity_for(0.90)
                 .unwrap_or(usize::MAX)
         };
-        assert!(cap(Spec92Program::Ear) < cap(Spec92Program::Swm256));
+        assert!(cap(proxy("ear")) < cap(proxy("swm256")));
     }
 
     #[test]
@@ -140,7 +141,7 @@ mod tests {
         use simcache::{Cache, CacheConfig};
         for r in run(15_000) {
             let mut cache = Cache::new(CacheConfig::new(8 * 1024, 32, 2).unwrap());
-            for i in spec92_trace(r.program, 0x2E05E).take(15_000) {
+            for i in r.program.compile(0x2E05E).take(15_000) {
                 if let Some(m) = i.mem {
                     cache.access(m.op, m.addr);
                 }

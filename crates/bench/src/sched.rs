@@ -848,8 +848,8 @@ mod tests {
     const EXTRACT_SEED: u64 = 0x5C4E_D001; // unique to this test
 
     fn extract() -> std::sync::Arc<simcpu::MissTimeline> {
-        tracestore::spec_timeline(
-            simtrace::Spec92Program::Ear,
+        tracestore::workload_timeline(
+            crate::common::proxy("ear"),
             EXTRACT_SEED,
             2_000,
             &crate::common::figure1_cache(32),

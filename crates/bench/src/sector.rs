@@ -9,10 +9,11 @@
 //! conventional small lines, conventional large lines, and the sector
 //! organisation — and prices their silicon with the cost model.
 
+use crate::common::proxy;
 use crate::registry::{ExpReport, Experiment, RunCtx};
 use report::Table;
 use simcache::{Cache, CacheConfig, SectorCache, SectorConfig};
-use simtrace::spec92::{spec92_trace, Spec92Program};
+use simtrace::WorkloadSpec;
 use tradeoff::cost::CacheAreaModel;
 use tradeoff::TradeoffError;
 
@@ -55,12 +56,12 @@ fn conventional(
     name: &str,
     cache_bytes: u64,
     line_bytes: u64,
-    program: Spec92Program,
+    program: &WorkloadSpec,
     n: usize,
     tech: SectorTech,
 ) -> Result<OrgResult, TradeoffError> {
     let mut cache = Cache::new(CacheConfig::new(cache_bytes, line_bytes, 2).expect("valid"));
-    for instr in spec92_trace(program, 0x5EC7).take(n) {
+    for instr in program.compile(0x5EC7).take(n) {
         if let Some(m) = instr.mem {
             cache.access(m.op, m.addr);
         }
@@ -85,13 +86,13 @@ fn sector(
     cache_bytes: u64,
     block: u64,
     sub: u64,
-    program: Spec92Program,
+    program: &WorkloadSpec,
     n: usize,
     tech: SectorTech,
 ) -> Result<OrgResult, TradeoffError> {
     let cfg = SectorConfig::new(cache_bytes, block, sub, 2).expect("valid sector");
     let mut cache = SectorCache::new(cfg);
-    for instr in spec92_trace(program, 0x5EC7).take(n) {
+    for instr in program.compile(0x5EC7).take(n) {
         if let Some(m) = instr.mem {
             cache.access(m.op, m.addr);
         }
@@ -122,7 +123,7 @@ fn sector(
 /// # Errors
 ///
 /// Propagates cost-model errors.
-pub fn run(program: Spec92Program, n: usize) -> Result<Vec<OrgResult>, TradeoffError> {
+pub fn run(program: &WorkloadSpec, n: usize) -> Result<Vec<OrgResult>, TradeoffError> {
     let tech = SectorTech {
         c: 7.0,
         beta: 2.0,
@@ -142,8 +143,8 @@ pub fn run(program: Spec92Program, n: usize) -> Result<Vec<OrgResult>, TradeoffE
 /// Propagates cost-model errors.
 pub fn report(n: usize) -> Result<String, TradeoffError> {
     let mut out = String::new();
-    for program in [Spec92Program::Nasa7, Spec92Program::Doduc] {
-        let rows = run(program, n)?;
+    for program in ["nasa7", "doduc"] {
+        let rows = run(proxy(program), n)?;
         let mut t = Table::new([
             "organisation",
             "HR",
@@ -209,7 +210,7 @@ mod tests {
 
     #[test]
     fn sector_has_large_line_tag_budget() {
-        let rows = run(Spec92Program::Nasa7, 20_000).unwrap();
+        let rows = run(proxy("nasa7"), 20_000).unwrap();
         let small = by(&rows, "conventional 8B");
         let large = by(&rows, "conventional 64B");
         let sect = by(&rows, "sector");
@@ -227,7 +228,7 @@ mod tests {
 
     #[test]
     fn sector_traffic_well_below_large_lines_on_irregular_code() {
-        let rows = run(Spec92Program::Doduc, 30_000).unwrap();
+        let rows = run(proxy("doduc"), 30_000).unwrap();
         let large = by(&rows, "conventional 64B");
         let sect = by(&rows, "sector");
         assert!(
@@ -240,7 +241,7 @@ mod tests {
 
     #[test]
     fn mean_access_times_are_sane() {
-        for program in [Spec92Program::Nasa7, Spec92Program::Ear] {
+        for program in [proxy("nasa7"), proxy("ear")] {
             for r in run(program, 20_000).unwrap() {
                 assert!(r.mean_access >= 1.0, "{}: {}", r.name, r.mean_access);
                 assert!(r.mean_access < 20.0, "{}: {}", r.name, r.mean_access);

@@ -376,12 +376,12 @@ impl StreamBenchResult {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use simtrace::spec92::{spec92_trace, Spec92Program};
+    use crate::common::proxy;
 
     const N: usize = 12_000;
 
     fn source() -> impl Iterator<Item = Instr> {
-        spec92_trace(Spec92Program::Swm256, 7).take(N)
+        proxy("swm256").compile(7).take(N)
     }
 
     fn sweep_sink() -> StackDistSweep {

@@ -14,7 +14,7 @@ use crate::stream;
 use report::{Artifact, Table};
 use simcache::explore::HitRatioPoint;
 use simcache::stackdist::StackDistSweep;
-use simtrace::spec92::Spec92Program;
+use simtrace::workload::{builtins, WorkloadSpec};
 use smithval::TableModel;
 use std::path::Path;
 
@@ -76,7 +76,7 @@ impl SweepGrid {
 #[derive(Debug, Clone)]
 pub struct WorkloadSweep {
     /// The workload.
-    pub program: Spec92Program,
+    pub program: &'static WorkloadSpec,
     /// Measured grid points.
     pub points: Vec<HitRatioPoint>,
 }
@@ -93,7 +93,7 @@ pub struct WorkloadSweep {
 ///
 /// Panics if a grid combination is not a valid cache geometry.
 pub fn run_sweep(
-    programs: &[Spec92Program],
+    programs: &[&'static WorkloadSpec],
     grid: &SweepGrid,
     instructions: usize,
 ) -> Vec<WorkloadSweep> {
@@ -115,15 +115,11 @@ pub fn run_sweep(
                     .expect("valid grid line size")
                 })
                 .collect();
-            match crate::tracestore::resident_trace(program, SWEEP_SEED, instructions) {
+            match crate::tracestore::resident_workload_trace(program, SWEEP_SEED, instructions) {
                 Some(trace) => stream::fold_slice(trace.instrs(), chunk, sinks),
-                None => stream::broadcast(
-                    simtrace::workload::builtin_spec(program)
-                        .compile(SWEEP_SEED)
-                        .take(instructions),
-                    chunk,
-                    sinks,
-                ),
+                None => {
+                    stream::broadcast(program.compile(SWEEP_SEED).take(instructions), chunk, sinks)
+                }
             }
         })
         .collect();
@@ -287,7 +283,8 @@ impl Experiment for Exp {
     fn run(&self, ctx: &RunCtx) -> ExpReport {
         let instructions = ctx.instructions;
         let grid = SweepGrid::figure6(instructions as u64 / 5);
-        let results = run_sweep(&Spec92Program::ALL, &grid, instructions);
+        let all: Vec<_> = builtins().iter().collect();
+        let results = run_sweep(&all, &grid, instructions);
         let mut out = render(&results, &grid);
         out.push_str(&measured_validation(&results));
         ExpReport {
@@ -354,8 +351,8 @@ impl SweepBenchResult {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::common::proxy;
     use simcache::explore::hit_ratio_grid_replay;
-    use simtrace::spec92::spec92_trace;
 
     fn small_grid() -> SweepGrid {
         SweepGrid {
@@ -369,15 +366,14 @@ mod tests {
     #[test]
     fn sweep_matches_per_config_replay_exactly() {
         let grid = small_grid();
-        let programs = [Spec92Program::Ear, Spec92Program::Nasa7];
         let n = 8_000;
-        let results = run_sweep(&programs, &grid, n);
+        let results = run_sweep(&[proxy("ear"), proxy("nasa7")], &grid, n);
         for ws in &results {
             let replay = hit_ratio_grid_replay(
                 &grid.cache_sizes,
                 &grid.line_sizes,
                 grid.assoc,
-                || spec92_trace(ws.program, SWEEP_SEED).take(n),
+                || ws.program.compile(SWEEP_SEED).take(n),
                 grid.warmup,
             )
             .unwrap();
@@ -388,7 +384,7 @@ mod tests {
     #[test]
     fn grid_points_and_order() {
         let grid = small_grid();
-        let results = run_sweep(&[Spec92Program::Ear], &grid, 2_000);
+        let results = run_sweep(&[proxy("ear")], &grid, 2_000);
         assert_eq!(results.len(), 1);
         let points = &results[0].points;
         assert_eq!(points.len(), grid.points());
@@ -401,7 +397,7 @@ mod tests {
     #[test]
     fn render_lists_programs_and_artifact_covers_grid() {
         let grid = small_grid();
-        let results = run_sweep(&[Spec92Program::Ear], &grid, 2_000);
+        let results = run_sweep(&[proxy("ear")], &grid, 2_000);
         let text = render(&results, &grid);
         assert!(text.contains("ear"));
         assert!(text.contains("best L @ 1K"));
@@ -439,7 +435,7 @@ mod tests {
     fn measured_model_bridges_into_smithval() {
         use smithval::MissRatioModel;
         let grid = SweepGrid::figure6(500);
-        let results = run_sweep(&[Spec92Program::Ear], &grid, 4_000);
+        let results = run_sweep(&[proxy("ear")], &grid, 4_000);
         let model = measured_model(&results[0], 16 * 1024).expect("16 KB row exists");
         assert_eq!(model.points().len(), grid.line_sizes.len());
         for p in &results[0].points {

@@ -10,9 +10,7 @@
 //!
 //! Workload identity is the declarative spec hash: every store keys on
 //! `(`[`WorkloadId`]`, seed, …)`, so a built-in proxy and an inline
-//! spec with the same canonical form share one entry. The legacy
-//! `spec_*` entry points remain as thin wrappers over the built-in
-//! specs ([`simtrace::workload::builtin_spec`]).
+//! spec with the same canonical form share one entry.
 //!
 //! Traces of different lengths share one backing: the generators are
 //! deterministic lazy streams, so the `n`-instruction trace is a
@@ -24,7 +22,7 @@
 //! chunked generator straight into a [`simcpu::MissTimelineBuilder`]
 //! without ever materialising the trace, so fold-only experiments keep
 //! at most one chunk of instructions resident (`REPRO_STREAM_CHUNK`,
-//! see `DESIGN.md` §12). Only [`spec_trace`] pins full traces, and
+//! see `DESIGN.md` §12). Only [`workload_trace`] pins full traces, and
 //! those materialisations are byte-accounted ([`bytes_resident`]) and
 //! capped: set `REPRO_TRACE_BUDGET` (bytes, with optional `k`/`m`/`g`
 //! suffix) to evict least-recently-used traces above the cap.
@@ -38,8 +36,7 @@ use crate::fault::{self, Site};
 use crate::stream;
 use simcache::CacheConfig;
 use simcpu::{MissTimeline, MissTimelineBuilder};
-use simtrace::spec92::Spec92Program;
-use simtrace::workload::{builtin_spec, WorkloadId, WorkloadSpec};
+use simtrace::workload::{WorkloadId, WorkloadSpec};
 use simtrace::{cancel, Instr, ReuseHistograms, INSTR_BYTES};
 use std::collections::{HashMap, HashSet};
 use std::hash::Hash;
@@ -498,12 +495,6 @@ pub fn resident_workload_trace(spec: &WorkloadSpec, seed: u64, len: usize) -> Op
     })
 }
 
-/// Legacy probe for a SPEC92 proxy — [`resident_workload_trace`] of the
-/// built-in spec.
-pub fn resident_trace(program: Spec92Program, seed: u64, len: usize) -> Option<TraceHandle> {
-    resident_workload_trace(builtin_spec(program), seed, len)
-}
-
 /// The first `len` instructions of a workload, materialised at most
 /// once per (workload identity, seed) process-wide.
 pub fn workload_trace(spec: &WorkloadSpec, seed: u64, len: usize) -> TraceHandle {
@@ -537,12 +528,6 @@ pub fn workload_trace(spec: &WorkloadSpec, seed: u64, len: usize) -> TraceHandle
     };
     enforce_budget(&mut store, key);
     handle
-}
-
-/// Legacy entry point for a SPEC92 proxy — [`workload_trace`] of the
-/// built-in spec (bit-identical to the old constructors).
-pub fn spec_trace(program: Spec92Program, seed: u64, len: usize) -> TraceHandle {
-    workload_trace(builtin_spec(program), seed, len)
 }
 
 /// Folds the workload's trace through `sink` without pinning it: an
@@ -618,17 +603,6 @@ pub fn workload_timeline(
         let tl = Arc::new(extract_streaming(spec, seed, len, cache));
         return Arc::clone(lock_store(timelines()).entry(key).or_insert(tl));
     }
-}
-
-/// Legacy entry point for a SPEC92 proxy — [`workload_timeline`] of the
-/// built-in spec.
-pub fn spec_timeline(
-    program: Spec92Program,
-    seed: u64,
-    len: usize,
-    cache: &CacheConfig,
-) -> Arc<MissTimeline> {
-    workload_timeline(builtin_spec(program), seed, len, cache)
 }
 
 /// Streams the workload's trace through a multi-granularity
@@ -735,45 +709,17 @@ pub fn workload_histograms(
     }
 }
 
-/// Legacy entry point for a SPEC92 proxy — [`workload_histograms`] of
-/// the built-in spec.
-#[allow(clippy::too_many_arguments)]
-pub fn spec_histograms(
-    program: Spec92Program,
-    seed: u64,
-    len: usize,
-    min_line: u64,
-    max_line: u64,
-    max_distance: usize,
-    warmup: u64,
-) -> Arc<ReuseHistograms> {
-    workload_histograms(
-        builtin_spec(program),
-        seed,
-        len,
-        min_line,
-        max_line,
-        max_distance,
-        warmup,
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::common::figure1_cache;
-    use simtrace::spec92::spec92_trace;
+    use crate::common::{figure1_cache, proxy};
     use std::panic::AssertUnwindSafe;
     use std::time::Duration;
 
-    fn id_of(program: Spec92Program) -> WorkloadId {
-        builtin_spec(program).id()
-    }
-
     #[test]
     fn longer_traces_extend_shorter_ones() {
-        let short: Vec<Instr> = spec92_trace(Spec92Program::Ear, 7).take(2_000).collect();
-        let long: Vec<Instr> = spec92_trace(Spec92Program::Ear, 7).take(5_000).collect();
+        let short: Vec<Instr> = proxy("ear").compile(7).take(2_000).collect();
+        let long: Vec<Instr> = proxy("ear").compile(7).take(5_000).collect();
         assert_eq!(
             short[..],
             long[..2_000],
@@ -783,9 +729,9 @@ mod tests {
 
     #[test]
     fn store_shares_one_backing_across_lengths() {
-        let a = spec_trace(Spec92Program::Nasa7, 99, 1_000);
-        let b = spec_trace(Spec92Program::Nasa7, 99, 3_000);
-        let c = spec_trace(Spec92Program::Nasa7, 99, 2_000);
+        let a = workload_trace(proxy("nasa7"), 99, 1_000);
+        let b = workload_trace(proxy("nasa7"), 99, 3_000);
+        let c = workload_trace(proxy("nasa7"), 99, 2_000);
         assert_eq!(a.instrs(), &b.instrs()[..1_000]);
         assert_eq!(c.instrs(), &b.instrs()[..2_000]);
         // After the 3 000-instruction materialisation, shorter requests
@@ -797,13 +743,13 @@ mod tests {
     #[test]
     fn timelines_are_memoised_and_match_direct_extraction() {
         let cache = figure1_cache(32);
-        let first = spec_timeline(Spec92Program::Ear, 42, 4_000, &cache);
-        let second = spec_timeline(Spec92Program::Ear, 42, 4_000, &cache);
+        let first = workload_timeline(proxy("ear"), 42, 4_000, &cache);
+        let second = workload_timeline(proxy("ear"), 42, 4_000, &cache);
         assert!(
             Arc::ptr_eq(&first, &second),
             "second lookup must hit the memo"
         );
-        let direct = MissTimeline::extract(cache, spec92_trace(Spec92Program::Ear, 42).take(4_000));
+        let direct = MissTimeline::extract(cache, proxy("ear").compile(42).take(4_000));
         assert_eq!(*first, direct);
     }
 
@@ -828,9 +774,9 @@ mod tests {
 
     #[test]
     fn budget_evicts_least_recently_used_first() {
-        let a = (id_of(Spec92Program::Nasa7), 1);
-        let b = (id_of(Spec92Program::Ear), 2);
-        let c = (id_of(Spec92Program::Doduc), 3);
+        let a = (proxy("nasa7").id(), 1);
+        let b = (proxy("ear").id(), 2);
+        let c = (proxy("doduc").id(), 3);
         let mut store = HashMap::new();
         store.insert(a, entry(100, 5)); // 2400 B, most recent
         store.insert(b, entry(100, 1)); // 2400 B, oldest
@@ -846,8 +792,8 @@ mod tests {
 
     #[test]
     fn budget_never_evicts_the_trace_being_handed_out() {
-        let a = (id_of(Spec92Program::Nasa7), 1);
-        let b = (id_of(Spec92Program::Ear), 2);
+        let a = (proxy("nasa7").id(), 1);
+        let b = (proxy("ear").id(), 2);
         let mut store = HashMap::new();
         store.insert(a, entry(1_000, 1)); // oldest AND just-used
         store.insert(b, entry(1_000, 2));
@@ -860,13 +806,13 @@ mod tests {
     #[test]
     fn resident_probe_sees_only_materialised_prefixes() {
         let seed = 0x5EED_0001; // unique to this test: no cross-test interference
-        let program = Spec92Program::Wave5;
-        assert!(resident_trace(program, seed, 100).is_none());
-        let full = spec_trace(program, seed, 2_000);
-        let probe = resident_trace(program, seed, 1_500).expect("prefix is resident");
+        let program = proxy("wave5");
+        assert!(resident_workload_trace(program, seed, 100).is_none());
+        let full = workload_trace(program, seed, 2_000);
+        let probe = resident_workload_trace(program, seed, 1_500).expect("prefix is resident");
         assert_eq!(&full.instrs()[..1_500], probe.instrs());
         assert!(
-            resident_trace(program, seed, 3_000).is_none(),
+            resident_workload_trace(program, seed, 3_000).is_none(),
             "longer than materialised must miss"
         );
     }
@@ -875,7 +821,7 @@ mod tests {
     fn byte_accounting_tracks_materialisations() {
         let seed = 0x5EED_0002;
         let before = bytes_resident();
-        let _t = spec_trace(Spec92Program::Hydro2d, seed, 1_000);
+        let _t = workload_trace(proxy("hydro2d"), seed, 1_000);
         let after = bytes_resident();
         assert_eq!(after - before, (1_000 * INSTR_BYTES) as u64);
         assert!(resident_entries()
@@ -888,14 +834,14 @@ mod tests {
     #[test]
     fn histograms_are_memoised_and_match_a_direct_fold() {
         let seed = 0x5EED_0004;
-        let first = spec_histograms(Spec92Program::Ear, seed, 4_000, 8, 64, 512, 800);
-        let second = spec_histograms(Spec92Program::Ear, seed, 4_000, 8, 64, 512, 800);
+        let first = workload_histograms(proxy("ear"), seed, 4_000, 8, 64, 512, 800);
+        let second = workload_histograms(proxy("ear"), seed, 4_000, 8, 64, 512, 800);
         assert!(
             Arc::ptr_eq(&first, &second),
             "second lookup must hit the memo"
         );
         let mut direct = ReuseHistograms::new(8, 64, 512, 800);
-        let trace: Vec<Instr> = spec92_trace(Spec92Program::Ear, seed).take(4_000).collect();
+        let trace: Vec<Instr> = proxy("ear").compile(seed).take(4_000).collect();
         direct.process_slice(&trace);
         for line in [8, 16, 32, 64] {
             assert_eq!(first.profile(line), direct.profile(line), "line={line}");
@@ -911,17 +857,7 @@ mod tests {
                 last_use,
             }
         }
-        let key = |seed| {
-            (
-                id_of(Spec92Program::Nasa7),
-                seed,
-                100,
-                32u64,
-                32u64,
-                64usize,
-                0u64,
-            )
-        };
+        let key = |seed| (proxy("nasa7").id(), seed, 100, 32u64, 32u64, 64usize, 0u64);
         let mut store = HashMap::new();
         store.insert(key(1), entry(5)); // most recent
         store.insert(key(2), entry(1)); // oldest
@@ -944,14 +880,13 @@ mod tests {
     fn streaming_extraction_matches_whole_trace_extraction() {
         let cache = figure1_cache(32);
         let seed = 0x5EED_0003;
-        let spec = builtin_spec(Spec92Program::Swm256);
+        let spec = proxy("swm256");
         // Cold path: nothing resident, generation is chunked.
         let cold = extract_streaming(spec, seed, 6_000, &cache);
-        let direct =
-            MissTimeline::extract(cache, spec92_trace(Spec92Program::Swm256, seed).take(6_000));
+        let direct = MissTimeline::extract(cache, proxy("swm256").compile(seed).take(6_000));
         assert_eq!(cold, direct);
         // Warm path: folds the resident slice instead.
-        let _pin = spec_trace(Spec92Program::Swm256, seed, 6_000);
+        let _pin = workload_trace(proxy("swm256"), seed, 6_000);
         let warm = extract_streaming(spec, seed, 6_000, &cache);
         assert_eq!(warm, direct);
     }
@@ -984,7 +919,7 @@ mod tests {
             r#"{"query":"simulate","program":"doduc","instructions":150000,"seed":1364410881}"#,
         )
         .unwrap();
-        let spec = builtin_spec(Spec92Program::Doduc);
+        let spec = proxy("doduc");
         let cache = CacheConfig::new(8 * 1024, 32, 2).unwrap();
         let key = (spec.id(), 1_364_410_881, 150_000, cache);
         let cancelled = std::panic::catch_unwind(|| {
@@ -1010,7 +945,7 @@ mod tests {
     #[test]
     fn inline_specs_share_entries_with_the_builtin_of_equal_identity() {
         let seed = 0x5EED_0005;
-        let named = builtin_spec(Spec92Program::Doduc);
+        let named = proxy("doduc");
         let mut anon = named.clone();
         anon.name = None; // a different label, the same canonical form
         let a = workload_trace(named, seed, 1_500);

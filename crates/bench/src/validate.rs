@@ -6,13 +6,13 @@ use crate::common::run_spec;
 use crate::registry::{ExpReport, Experiment, RunCtx};
 use report::Table;
 use simcpu::{predict_cycles, validation_error, StallFeature};
-use simtrace::spec92::Spec92Program;
+use simtrace::workload::{builtins, WorkloadSpec};
 
 /// One validation row.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ValidationRow {
     /// Workload.
-    pub program: Spec92Program,
+    pub program: &'static WorkloadSpec,
     /// Stalling feature simulated.
     pub stall: StallFeature,
     /// Simulated cycles.
@@ -27,8 +27,8 @@ pub struct ValidationRow {
 /// over the [`crate::exec`] pool, with each program's timeline shared by
 /// its four feature replays via the trace store.
 pub fn run(instructions: usize) -> Vec<ValidationRow> {
-    let grid: Vec<(Spec92Program, StallFeature)> = Spec92Program::ALL
-        .into_iter()
+    let grid: Vec<(&WorkloadSpec, StallFeature)> = builtins()
+        .iter()
         .flat_map(|p| {
             [
                 StallFeature::FullStall,

@@ -6,9 +6,9 @@
 //! other lookup served as a memo hit after blocking — never a
 //! duplicated pass.
 
-use bench::tracestore::{self, spec_histograms, spec_timeline};
+use bench::common::proxy;
+use bench::tracestore::{self, workload_histograms, workload_timeline};
 use simcache::CacheConfig;
-use simtrace::spec92::Spec92Program;
 use std::sync::{Arc, Barrier};
 
 const THREADS: usize = 8;
@@ -27,7 +27,7 @@ fn concurrent_same_key_lookups_extract_once() {
                 let barrier = Arc::clone(&barrier);
                 s.spawn(move || {
                     barrier.wait();
-                    spec_timeline(Spec92Program::Ear, seed, 200_000, &cache)
+                    workload_timeline(proxy("ear"), seed, 200_000, &cache)
                 })
             })
             .collect();
@@ -59,7 +59,7 @@ fn concurrent_same_key_lookups_extract_once() {
                 let barrier = Arc::clone(&barrier);
                 s.spawn(move || {
                     barrier.wait();
-                    spec_histograms(Spec92Program::Ear, seed, 200_000, 8, 128, 1 << 14, 40_000)
+                    workload_histograms(proxy("ear"), seed, 200_000, 8, 128, 1 << 14, 40_000)
                 })
             })
             .collect();

@@ -5,7 +5,7 @@
 //! at the reference level. Mixtures are themselves [`AccessPattern`]s, so
 //! they nest.
 
-use crate::gen::{AccessPattern, PatternTrace, TraceShape};
+use crate::gen::AccessPattern;
 use crate::instr::MemRef;
 use rand::rngs::SmallRng;
 use rand::Rng;
@@ -51,13 +51,14 @@ impl AccessPattern for MixtureTrace {
 /// # Example
 ///
 /// ```
-/// use simtrace::gen::{StridedSweep, TraceShape, WorkingSet};
+/// use simtrace::gen::{PatternTrace, StridedSweep, TraceShape, WorkingSet};
 /// use simtrace::mix::MixtureBuilder;
 ///
-/// let trace = MixtureBuilder::new()
-///     .component(0.7, StridedSweep::new(0, 1 << 20, 8, 8, 4))
-///     .component(0.3, WorkingSet::new(1 << 24, 8192, 0.3, 4))
-///     .into_trace(TraceShape::default(), 11);
+/// let mix = MixtureBuilder::new()
+///     .boxed(0.7, Box::new(StridedSweep::new(0, 1 << 20, 8, 8, 4)))
+///     .boxed(0.3, Box::new(WorkingSet::new(1 << 24, 8192, 0.3, 4)))
+///     .build();
+/// let trace = PatternTrace::new(mix, TraceShape::default(), 11);
 /// assert_eq!(trace.take(1000).count(), 1000);
 /// ```
 #[derive(Debug, Default)]
@@ -77,23 +78,7 @@ impl MixtureBuilder {
         Self::default()
     }
 
-    /// Adds a component with the given weight.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `weight` is not finite and positive.
-    pub fn component(mut self, weight: f64, pattern: impl AccessPattern + Send + 'static) -> Self {
-        assert!(
-            weight.is_finite() && weight > 0.0,
-            "weight must be positive"
-        );
-        self.components.push((weight, Box::new(pattern)));
-        self
-    }
-
-    /// Adds an already-boxed component with the given weight — the
-    /// runtime-composition twin of [`MixtureBuilder::component`], used
-    /// by the [`crate::workload`] spec compiler to avoid double boxing.
+    /// Adds a boxed component with the given weight.
     ///
     /// # Panics
     ///
@@ -123,11 +108,6 @@ impl MixtureBuilder {
             total_weight,
         }
     }
-
-    /// Finishes the mixture and lifts it into an instruction trace.
-    pub fn into_trace(self, shape: TraceShape, seed: u64) -> PatternTrace<MixtureTrace> {
-        PatternTrace::new(self.build(), shape, seed)
-    }
 }
 
 #[cfg(test)]
@@ -139,8 +119,8 @@ mod tests {
     #[test]
     fn mixture_draws_from_all_components_by_weight() {
         let mut mix = MixtureBuilder::new()
-            .component(0.8, WorkingSet::new(0, 64, 0.0, 4))
-            .component(0.2, WorkingSet::new(0x1_0000, 64, 0.0, 4))
+            .boxed(0.8, Box::new(WorkingSet::new(0, 64, 0.0, 4)))
+            .boxed(0.2, Box::new(WorkingSet::new(0x1_0000, 64, 0.0, 4)))
             .build();
         let mut rng = SmallRng::seed_from_u64(1);
         let n = 20_000;
@@ -160,13 +140,13 @@ mod tests {
     #[test]
     #[should_panic(expected = "weight must be positive")]
     fn non_positive_weight_panics() {
-        MixtureBuilder::new().component(0.0, WorkingSet::new(0, 64, 0.0, 4));
+        MixtureBuilder::new().boxed(0.0, Box::new(WorkingSet::new(0, 64, 0.0, 4)));
     }
 
     #[test]
     fn single_component_mixture_is_that_component() {
         let mut mix = MixtureBuilder::new()
-            .component(1.0, WorkingSet::new(0, 64, 0.0, 4))
+            .boxed(1.0, Box::new(WorkingSet::new(0, 64, 0.0, 4)))
             .build();
         let mut rng = SmallRng::seed_from_u64(1);
         for _ in 0..100 {
@@ -177,7 +157,7 @@ mod tests {
     #[test]
     fn debug_is_nonempty() {
         let mix = MixtureBuilder::new()
-            .component(1.0, WorkingSet::new(0, 64, 0.0, 4))
+            .boxed(1.0, Box::new(WorkingSet::new(0, 64, 0.0, 4)))
             .build();
         assert!(format!("{mix:?}").contains("MixtureTrace"));
     }

@@ -9,6 +9,8 @@
 //!
 //! Run with `cargo run --release --example line_size_advisor`.
 
+use simtrace::workload::builtin;
+use simtrace::WorkloadSpec;
 use tradeoff::linesize::{
     beneficial_bus_speeds, optimal_line_eq19, optimal_line_smith, FillTiming, LineCandidate,
 };
@@ -17,13 +19,13 @@ use unified_tradeoff::prelude::*;
 const CACHE_BYTES: u64 = 16 * 1024;
 const INSTRUCTIONS: usize = 120_000;
 
-fn measured_candidates(program: Spec92Program) -> Vec<LineCandidate> {
+fn measured_candidates(program: &WorkloadSpec) -> Vec<LineCandidate> {
     let lines = [8u64, 16, 32, 64, 128];
     simcache::explore::hit_ratio_grid(
         &[CACHE_BYTES],
         &lines,
         2,
-        || spec92_trace(program, 0xBEEF).take(INSTRUCTIONS),
+        || program.compile(0xBEEF).take(INSTRUCTIONS),
         INSTRUCTIONS as u64 / 5,
     )
     .expect("valid geometry")
@@ -36,8 +38,8 @@ fn measured_candidates(program: Spec92Program) -> Vec<LineCandidate> {
 }
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let program = Spec92Program::Nasa7;
-    let candidates = measured_candidates(program);
+    let program = "nasa7";
+    let candidates = measured_candidates(builtin(program).expect("a built-in workload"));
 
     println!("Measured hit ratios for {program} (16K two-way):");
     let mut t = Table::new(["line", "hit ratio"]);

@@ -7,6 +7,8 @@
 //! tradeoff landscape shifts. Run with
 //! `cargo run --release --example modernization`.
 
+use simtrace::workload::builtin;
+use simtrace::WorkloadSpec;
 use unified_tradeoff::prelude::*;
 use unified_tradeoff::simcpu::{L2Config, Prefetch};
 
@@ -54,7 +56,7 @@ const VARIANTS: [Variant; 5] = [
     },
 ];
 
-fn simulate(program: Spec92Program, v: Variant) -> SimResult {
+fn simulate(program: &WorkloadSpec, v: Variant) -> SimResult {
     let mut cfg = CpuConfig::baseline(
         CacheConfig::new(8 * 1024, 32, 2).expect("valid L1"),
         MemoryTiming::new(BusWidth::new(4).expect("valid bus"), BETA),
@@ -67,20 +69,17 @@ fn simulate(program: Spec92Program, v: Variant) -> SimResult {
             2,
         ));
     }
-    Cpu::new(cfg).run(spec92_trace(program, 0x1994).take(INSTRUCTIONS))
+    Cpu::new(cfg).run(program.compile(0x1994).take(INSTRUCTIONS))
 }
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Per-variant CPI across the proxies.
     let mut t = Table::new(["variant", "nasa7", "swm256", "ear", "doduc", "geomean CPI"]);
     for v in VARIANTS {
-        let programs = [
-            Spec92Program::Nasa7,
-            Spec92Program::Swm256,
-            Spec92Program::Ear,
-            Spec92Program::Doduc,
-        ];
-        let cpis: Vec<f64> = programs.iter().map(|&p| simulate(p, v).cpi()).collect();
+        let cpis: Vec<f64> = ["nasa7", "swm256", "ear", "doduc"]
+            .iter()
+            .map(|name| simulate(builtin(name).expect("a built-in workload"), v).cpi())
+            .collect();
         let geomean = cpis.iter().map(|c| c.ln()).sum::<f64>() / cpis.len() as f64;
         t.row([
             v.name.to_string(),

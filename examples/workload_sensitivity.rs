@@ -7,6 +7,7 @@
 //!
 //! Run with `cargo run --release --example workload_sensitivity`.
 
+use simtrace::workload::builtins;
 use unified_tradeoff::prelude::*;
 
 const INSTRUCTIONS: usize = 120_000;
@@ -25,11 +26,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     ]);
     let mut ranking_table = Table::new(["program", "best feature", "2nd", "3rd"]);
 
-    for program in Spec92Program::ALL {
+    for program in builtins() {
         // Measure the full profile under three stalling features.
         let run = |stall: StallFeature| {
             Cpu::new(CpuConfig::baseline(dcache, timing).with_stall(stall))
-                .run(spec92_trace(program, 0xFEED).take(INSTRUCTIONS))
+                .run(program.compile(0xFEED).take(INSTRUCTIONS))
         };
         let fs = run(StallFeature::FullStall);
         let bnl1 = run(StallFeature::BusNotLocked1);

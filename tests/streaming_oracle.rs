@@ -5,6 +5,7 @@
 //! is literal: suite documents and CSV artifacts are compared as
 //! rendered bytes, folded stats as exact values.
 
+use bench::common::proxy;
 use bench::fault::{self, FaultKind, FaultPlan, Site};
 use bench::registry::RunCtx;
 use bench::sched::{run_suite, RetryPolicy, SuiteOptions};
@@ -13,7 +14,6 @@ use bench::sweep::{artifact, run_sweep, SweepGrid, SWEEP_SEED};
 use simcache::explore::hit_ratio_grid_replay;
 use simcache::stackdist::StackDistSweep;
 use simcpu::{MissTimeline, MissTimelineBuilder};
-use simtrace::spec92::{spec92_trace, Spec92Program};
 use simtrace::Instr;
 use std::time::Duration;
 
@@ -41,13 +41,12 @@ fn streaming_sweep_matches_per_config_replay() {
         assoc: 2,
         warmup: 1_000,
     };
-    let programs = [Spec92Program::Swm256, Spec92Program::Doduc];
-    for ws in run_sweep(&programs, &grid, N) {
+    for ws in run_sweep(&[proxy("swm256"), proxy("doduc")], &grid, N) {
         let replay = hit_ratio_grid_replay(
             &grid.cache_sizes,
             &grid.line_sizes,
             grid.assoc,
-            || spec92_trace(ws.program, SWEEP_SEED).take(N),
+            || ws.program.compile(SWEEP_SEED).take(N),
             grid.warmup,
         )
         .unwrap();
@@ -59,14 +58,14 @@ fn streaming_sweep_matches_per_config_replay() {
 fn streaming_timeline_matches_whole_trace_extraction() {
     let cache = bench::common::figure1_cache(32);
     let seed = 0x04AC1E;
-    let whole: Vec<Instr> = spec92_trace(Spec92Program::Ear, seed).take(N).collect();
+    let whole: Vec<Instr> = proxy("ear").compile(seed).take(N).collect();
     let oracle = MissTimeline::extract(cache, whole.iter().copied());
     // Cold store lookup streams chunk by chunk — identical timeline.
-    let streamed = bench::tracestore::spec_timeline(Spec92Program::Ear, seed, N, &cache);
+    let streamed = bench::tracestore::workload_timeline(proxy("ear"), seed, N, &cache);
     assert_eq!(*streamed, oracle);
     // A mixed one-pass pipeline folds the same timeline again.
     let out = stream::broadcast(
-        spec92_trace(Spec92Program::Ear, seed).take(N),
+        proxy("ear").compile(seed).take(N),
         1_024,
         vec![
             FoldSink::Timeline(MissTimelineBuilder::new(cache)),
@@ -140,16 +139,14 @@ fn folds_and_artifacts_are_chunk_size_invariant() {
     // several chunk sizes against the whole-trace oracle. Env vars are
     // process-global, so the sizes are driven through the pipeline
     // directly rather than by mutating the environment.
-    let whole: Vec<Instr> = spec92_trace(Spec92Program::Nasa7, SWEEP_SEED)
-        .take(N)
-        .collect();
+    let whole: Vec<Instr> = proxy("nasa7").compile(SWEEP_SEED).take(N).collect();
     let mut oracle = StackDistSweep::new_range(32, 4, 7, 2, 500).unwrap();
     for instr in &whole {
         oracle.process(*instr);
     }
     for chunk in [64, 977, N + 1] {
         let folded = stream::broadcast(
-            spec92_trace(Spec92Program::Nasa7, SWEEP_SEED).take(N),
+            proxy("nasa7").compile(SWEEP_SEED).take(N),
             chunk,
             vec![StackDistSweep::new_range(32, 4, 7, 2, 500).unwrap()],
         );
@@ -169,7 +166,7 @@ fn folds_and_artifacts_are_chunk_size_invariant() {
         assoc: 2,
         warmup: 500,
     };
-    let reference = artifact(&run_sweep(&[Spec92Program::Nasa7], &grid, N));
-    let again = artifact(&run_sweep(&[Spec92Program::Nasa7], &grid, N));
+    let reference = artifact(&run_sweep(&[proxy("nasa7")], &grid, N));
+    let again = artifact(&run_sweep(&[proxy("nasa7")], &grid, N));
     assert_eq!(format!("{reference:?}"), format!("{again:?}"));
 }

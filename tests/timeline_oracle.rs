@@ -220,8 +220,8 @@ fn sweep_matches_the_oracle_across_the_supported_space() {
         }),
     ];
     let mut points = 0;
-    for program in Spec92Program::ALL {
-        let trace: Vec<Instr> = spec92_trace(program, 7).take(INSTRUCTIONS).collect();
+    for program in simtrace::workload::builtins() {
+        let trace: Vec<Instr> = program.compile(7).take(INSTRUCTIONS).collect();
         for line in [16u64, 32, 64] {
             let cache = CacheConfig::new(2 * 1024, line, 2).expect("valid");
             let timeline = MissTimeline::extract(cache, trace.iter().copied());
@@ -249,7 +249,7 @@ fn sweep_matches_the_oracle_across_the_supported_space() {
             let batch = timeline.replay_batch(&cfgs).expect("supported");
             for (cfg, batched) in cfgs.iter().zip(&batch) {
                 let oracle = Cpu::new(*cfg).run(trace.iter().copied());
-                let what = format!("{program:?} line {line} {:?} {}", cfg.timing, cfg.stall);
+                let what = format!("{program} line {line} {:?} {}", cfg.timing, cfg.stall);
                 assert_eq!(timeline.replay(cfg), oracle, "replay: {what}");
                 assert_eq!(*batched, oracle, "replay_batch: {what}");
                 let (_, marked) = TimelineCpu::new(&timeline, *cfg)
