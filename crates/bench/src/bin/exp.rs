@@ -19,8 +19,8 @@
 //! fault injection (see `DESIGN.md` §11).
 //!
 //! Exit codes: `0` success, `1` one or more experiments failed, `2` bad
-//! usage (including a filter that matches nothing), `3` an artifact
-//! could not be written.
+//! usage (including a filter that matches nothing or a malformed
+//! `REPRO_TRACE_BUDGET`), `3` an artifact could not be written.
 
 use bench::registry::{self, RunCtx};
 use bench::sched::{drive, SuiteOptions};
@@ -101,6 +101,10 @@ fn run(args: &[String]) {
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
+    if let Err(e) = bench::tracestore::budget() {
+        eprintln!("error: {e}");
+        std::process::exit(2);
+    }
     match args.first().map(String::as_str) {
         None | Some("list") => list(args.get(1).map_or("", String::as_str)),
         Some("run") => run(&args[1..]),

@@ -9,14 +9,18 @@
 //! stopping at the first failure. The per-experiment wall-clock and
 //! trace-store footer goes to stderr so stdout stays deterministic.
 //!
-//! Exit codes: `0` success, `1` one or more experiments failed, `3` an
-//! artifact could not be written.
+//! Exit codes: `0` success, `1` one or more experiments failed, `2` a
+//! malformed `REPRO_TRACE_BUDGET`, `3` an artifact could not be written.
 
 use bench::registry::RunCtx;
 use bench::sched::{drive, SuiteOptions};
 use bench::Error;
 
 fn main() {
+    if let Err(e) = bench::tracestore::budget() {
+        eprintln!("error: {e}");
+        std::process::exit(2);
+    }
     let jobs = std::env::var("REPRO_JOBS")
         .ok()
         .and_then(|v| v.parse().ok())

@@ -43,14 +43,6 @@ fn usage() -> ExitCode {
     ExitCode::from(2)
 }
 
-/// Peak resident set size in bytes (`VmHWM`), or `None` off-Linux.
-fn peak_rss_bytes() -> Option<u64> {
-    let status = std::fs::read_to_string("/proc/self/status").ok()?;
-    let line = status.lines().find(|l| l.starts_with("VmHWM:"))?;
-    let kb: u64 = line.split_whitespace().nth(1)?.parse().ok()?;
-    Some(kb * 1024)
-}
-
 fn sizes() -> Vec<u64> {
     (0..=6).map(|i| 1024u64 << i).collect()
 }
@@ -165,7 +157,7 @@ fn main() -> ExitCode {
 
     // RSS gate first: the oracle pass below materialises the whole
     // trace on purpose and would swamp the high-water mark.
-    let peak = peak_rss_bytes();
+    let peak = stream::peak_rss_bytes();
     match peak {
         Some(bytes) => {
             let limit = rss_limit_mb * 1024 * 1024;

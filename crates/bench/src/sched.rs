@@ -302,23 +302,24 @@ impl SuiteRun {
             self.store.summary(),
             t.render()
         );
-        // Byte accounting of what is still materialised: per-entry
-        // sizes plus the total the REPRO_TRACE_BUDGET cap acts on.
+        // Byte accounting of what is still resident, per kind (their sum
+        // is what the REPRO_TRACE_BUDGET cap acts on), plus per-trace
+        // sizes.
         let entries = tracestore::resident_entries();
+        let stats = tracestore::stats();
         out.push_str(&format!(
-            "trace store resident: {} bytes in {} traces",
-            tracestore::bytes_resident(),
-            entries.len()
+            "trace store resident: {} bytes in {} traces, {} bytes in timelines, {} bytes in histograms",
+            stats.trace_bytes,
+            entries.len(),
+            stats.timeline_bytes,
+            stats.hist_bytes
         ));
         for (name, seed, bytes) in entries {
             out.push_str(&format!("\n  {name}@{seed:#x}: {bytes} bytes"));
         }
         // The process-wide store snapshot — the same accessor the query
         // server's /stats endpoint reports.
-        out.push_str(&format!(
-            "\nstore stats: {}\n",
-            tracestore::stats().summary()
-        ));
+        out.push_str(&format!("\nstore stats: {}\n", stats.summary()));
         out
     }
 }

@@ -31,6 +31,16 @@ use std::sync::Arc;
 /// bytes at `(IN_FLIGHT_CHUNKS + 1) × chunk × 24 B` per sink fan-out.
 const IN_FLIGHT_CHUNKS: usize = 2;
 
+/// Peak resident set size of this process in bytes (`VmHWM` in
+/// `/proc/self/status`), or `None` off-Linux — the memory gates'
+/// high-water mark.
+pub fn peak_rss_bytes() -> Option<u64> {
+    let status = std::fs::read_to_string("/proc/self/status").ok()?;
+    let line = status.lines().find(|l| l.starts_with("VmHWM:"))?;
+    let kb: u64 = line.split_whitespace().nth(1)?.parse().ok()?;
+    Some(kb * 1024)
+}
+
 /// Instructions per streamed chunk: `REPRO_STREAM_CHUNK`, defaulting to
 /// [`DEFAULT_CHUNK_INSTRUCTIONS`].
 pub fn chunk_instructions() -> usize {

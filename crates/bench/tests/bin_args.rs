@@ -57,3 +57,24 @@ fn profile_proxies_rejects_a_bad_count() {
         assert!(table.contains(&spec.label()), "{table}");
     }
 }
+
+#[test]
+fn a_malformed_trace_budget_is_a_usage_error() {
+    let with_budget = |exe: &str, args: &[&str], budget: &str| {
+        Command::new(exe)
+            .args(args)
+            .env("REPRO_TRACE_BUDGET", budget)
+            .output()
+            .expect("binary runs")
+    };
+    let exp = env!("CARGO_BIN_EXE_exp");
+    for (exe, args) in [(exp, &["list"][..]), (env!("CARGO_BIN_EXE_run_all"), &[])] {
+        for bad in ["12x", "", "-1", "m"] {
+            assert_usage_error(&with_budget(exe, args, bad), "REPRO_TRACE_BUDGET");
+        }
+    }
+    for good in ["0", "4096", "64k", "8M"] {
+        let out = with_budget(exp, &["list"], good);
+        assert!(out.status.success(), "{good}: {out:?}");
+    }
+}

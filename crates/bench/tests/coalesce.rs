@@ -4,11 +4,12 @@
 //! counters see no traffic but its own: N concurrent lookups of one
 //! cold key must pay exactly one extraction (the key gate), with every
 //! other lookup served as a memo hit after blocking — never a
-//! duplicated pass.
+//! duplicated pass — for timelines, histograms and traces alike.
 
 use bench::common::proxy;
-use bench::tracestore::{self, workload_histograms, workload_timeline};
+use bench::tracestore::{self, workload_histograms, workload_timeline, workload_trace};
 use simcache::CacheConfig;
+use simtrace::INSTR_BYTES;
 use std::sync::{Arc, Barrier};
 
 const THREADS: usize = 8;
@@ -73,10 +74,41 @@ fn concurrent_same_key_lookups_extract_once() {
         assert!(Arc::ptr_eq(&hists[0], h));
     }
 
+    // Traces: same discipline on the materialising path.
+    let before = tracestore::stats();
+    let barrier = Arc::new(Barrier::new(THREADS));
+    let traces: Vec<_> = std::thread::scope(|s| {
+        let handles: Vec<_> = (0..THREADS)
+            .map(|_| {
+                let barrier = Arc::clone(&barrier);
+                s.spawn(move || {
+                    barrier.wait();
+                    workload_trace(proxy("ear"), seed, 200_000)
+                })
+            })
+            .collect();
+        handles.into_iter().map(|h| h.join().unwrap()).collect()
+    });
+    let after = tracestore::stats();
+    let delta = after.counts.since(&before.counts);
+    assert_eq!(
+        delta.trace_misses, 1,
+        "one generation for N concurrent requests"
+    );
+    assert_eq!(delta.trace_hits, (THREADS - 1) as u64);
+    for t in &traces[1..] {
+        assert_eq!(
+            traces[0].as_ptr(),
+            t.as_ptr(),
+            "all callers share one allocation"
+        );
+    }
+    assert_eq!(after.trace_bytes, (200_000 * INSTR_BYTES) as u64);
+
     // Waits are timing-dependent (a late arrival can re-probe without
     // ever blocking), but the counter must stay within the racers.
     assert!(
-        after.coalesced_waits <= 2 * (THREADS - 1) as u64,
+        after.coalesced_waits <= 3 * (THREADS - 1) as u64,
         "at most N-1 waiters per cold key, got {}",
         after.coalesced_waits
     );

@@ -261,6 +261,19 @@ impl MissTimeline {
         self.instructions
     }
 
+    /// Heap footprint for the trace-store byte budget. Counts allocated
+    /// *capacity*, not length: [`MissTimelineBuilder::finish`] hands its
+    /// growth-doubled vectors over without shrinking them.
+    pub fn bytes(&self) -> usize {
+        use std::mem::size_of;
+        size_of::<Self>()
+            + self.events.capacity() * size_of::<MissEvent>()
+            + self.echo_instrs.capacity() * size_of::<u64>()
+            + self.echo_addrs.capacity() * size_of::<Addr>()
+            + self.echo_stores.capacity() * size_of::<bool>()
+            + self.prelude.capacity() * size_of::<Echo>()
+    }
+
     /// Number of fill events recorded.
     pub fn event_count(&self) -> usize {
         self.events.len()
@@ -933,6 +946,21 @@ mod tests {
                 assert_eq!(fast, slow, "{stall} β={beta}");
             }
         }
+    }
+
+    #[test]
+    fn bytes_count_capacity_not_length() {
+        let tl = MissTimeline::extract(cache(), trace("ear"));
+        use std::mem::size_of;
+        let by_len = size_of::<MissTimeline>()
+            + tl.events.len() * size_of::<MissEvent>()
+            + tl.echo_instrs.len() * (size_of::<u64>() + size_of::<Addr>() + size_of::<bool>())
+            + tl.prelude.len() * size_of::<Echo>();
+        // A clone allocates exactly its length; the extracted original
+        // keeps the builder's spare capacity, and is weighed with it.
+        let clone = tl.clone();
+        assert_eq!(clone.bytes(), by_len);
+        assert!(tl.bytes() > clone.bytes());
     }
 
     #[test]

@@ -366,9 +366,14 @@ impl ServerStats {
                     ("hist_hits", Json::num(st.counts.hist_hits as f64)),
                     ("hist_misses", Json::num(st.counts.hist_misses as f64)),
                     ("trace_evictions", Json::num(st.trace_evictions as f64)),
+                    (
+                        "timeline_evictions",
+                        Json::num(st.timeline_evictions as f64),
+                    ),
                     ("hist_evictions", Json::num(st.hist_evictions as f64)),
                     ("coalesced_waits", Json::num(st.coalesced_waits as f64)),
                     ("trace_bytes", Json::num(st.trace_bytes as f64)),
+                    ("timeline_bytes", Json::num(st.timeline_bytes as f64)),
                     ("hist_bytes", Json::num(st.hist_bytes as f64)),
                     ("poison_recoveries", Json::num(st.poison_recoveries as f64)),
                 ]),
@@ -1534,6 +1539,8 @@ mod tests {
             "hist_misses",
             "coalesced_waits",
             "trace_bytes",
+            "timeline_bytes",
+            "timeline_evictions",
             "poison_recoveries",
         ] {
             assert!(store.get(key).is_some(), "missing store.{key}");

@@ -1,7 +1,8 @@
 //! Fault isolation end to end: a deterministic fault plan degrades the
 //! suite the same way serially and under `--jobs N`, transient faults
 //! retry to byte-identical documents, strict runs stop with a typed
-//! error, and a poisoned trace-store lock is recovered, not fatal.
+//! error, a poisoned trace-store lock is recovered, not fatal, and an
+//! extraction fault poisons nothing.
 //!
 //! Every test arms its own [`FaultPlan`]; the arm gate serialises them
 //! so plans never overlap within the process.
@@ -9,7 +10,8 @@
 use bench::fault::{self, FaultKind, FaultPlan, Site};
 use bench::registry::RunCtx;
 use bench::sched::{drive, run_suite, RetryPolicy, SuiteOptions};
-use bench::Error;
+use bench::{tracestore, Error};
+use simtrace::workload::builtin;
 use std::fs;
 use std::path::PathBuf;
 use std::time::Duration;
@@ -136,4 +138,31 @@ fn a_poisoned_store_lock_is_recovered_and_retried() {
         bench::tracestore::poison_recoveries() > before,
         "the poisoned store mutex was recovered"
     );
+}
+
+#[test]
+fn an_extract_fault_neither_poisons_the_store_nor_drops_its_traces() {
+    // assumptions materialises its traces through `workload_trace`; the
+    // fault fires on the first cold generation. Generation runs outside
+    // the store lock, so the unwind must leave the lock unpoisoned and
+    // every resident trace in place, and the retry must succeed.
+    let spec = builtin("ear").expect("a builtin");
+    let seed = 0x5EED_F417; // unique to this test
+    let _armed = fault::arm(FaultPlan::new().with(Site::Extract, "assumptions", FaultKind::Io, 1));
+    let pinned = tracestore::workload_trace(spec, seed, 1_000);
+    let before = tracestore::poison_recoveries();
+    // Longer than any other test's run, so the traces are cold.
+    let run = run_suite(
+        &bench::registry::matching("assumptions"),
+        &fast_retry(SuiteOptions::new(1, RunCtx::with_instructions(4_000)).with_timeout(None)),
+    );
+    assert_eq!(run.outcomes[0].status(), "retried(1)");
+    assert_eq!(
+        tracestore::poison_recoveries(),
+        before,
+        "an extract fault must not poison the store"
+    );
+    let resident =
+        tracestore::resident_workload_trace(spec, seed, 1_000).expect("the pinned trace survives");
+    assert_eq!(resident.instrs(), pinned.instrs());
 }

@@ -627,3 +627,44 @@ fn overload_sheds_expensive_queries_with_retry_after() {
         "{stats:?}"
     );
 }
+
+#[test]
+fn a_malformed_trace_budget_is_a_usage_error() {
+    let mut server = Command::new(env!("CARGO_BIN_EXE_tradeoff-server"))
+        .args(["--addr", "127.0.0.1:0"])
+        .env("REPRO_TRACE_BUDGET", "12x")
+        .stdout(Stdio::null())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("server binary spawns");
+    // A server that accepted the value would serve until killed.
+    let deadline = Instant::now() + Duration::from_secs(30);
+    let status = loop {
+        if let Some(status) = server.try_wait().expect("server status") {
+            break status;
+        }
+        if Instant::now() > deadline {
+            let _ = server.kill();
+            panic!("the server started with a malformed REPRO_TRACE_BUDGET");
+        }
+        std::thread::sleep(Duration::from_millis(10));
+    };
+    let mut stderr = String::new();
+    server
+        .stderr
+        .take()
+        .expect("piped stderr")
+        .read_to_string(&mut stderr)
+        .expect("stderr reads");
+    assert_eq!(status.code(), Some(2), "{stderr}");
+    assert!(stderr.contains("REPRO_TRACE_BUDGET"), "{stderr}");
+
+    let cli = Command::new(env!("CARGO_BIN_EXE_tradeoff-cli"))
+        .args(["experiments", "list"])
+        .env("REPRO_TRACE_BUDGET", "12x")
+        .output()
+        .expect("cli binary runs");
+    assert_eq!(cli.status.code(), Some(2));
+    assert!(String::from_utf8_lossy(&cli.stderr).contains("REPRO_TRACE_BUDGET"));
+    assert!(cli.stdout.is_empty());
+}
