@@ -9,7 +9,8 @@
 #                    + stream (1 M-instruction streaming smoke with an
 #                    RSS ceiling and a materialised oracle comparison)
 #                    + analytic (closed-form backend bit-exact on FA LRU,
-#                    within tolerance on the comparison grid)
+#                    within tolerance on the comparison grid, pruned
+#                    dense search equal to the exhaustive walk)
 #                    + chaos (armed serve-path fault plan: sheds are
 #                    deterministic and survivable, no worker dies, and
 #                    the post-chaos canned answer is byte-identical to
@@ -104,8 +105,12 @@ analytic_check() {
     # Cache replay (Mattson inclusion is exact, not approximate).
     # Gate 2: the binomial set-conflict model must stay within the
     # pinned tolerance of the stack-distance sweeps across the whole
-    # comparison grid, all six proxies. The binary exits nonzero on any
-    # violation.
+    # comparison grid, all six proxies.
+    # Gate 3: the pruned dense search must return the exhaustive walk's
+    # answer, hit-ratio bits included, on DenseGrid::standard() at the
+    # committed scale (120 k instructions, targets 0.9/0.95/0.99) — the
+    # debug tests only reach small grids. The binary exits nonzero on
+    # any violation.
     cargo run --release -q -p bench --bin analytic_check
 }
 

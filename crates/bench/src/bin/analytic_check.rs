@@ -5,7 +5,7 @@
 //! analytic_check [--instructions N]
 //! ```
 //!
-//! Two checks, across all six SPEC92 proxies:
+//! Three checks, across all six SPEC92 proxies:
 //!
 //! 1. **Fully-associative exactness** — Mattson inclusion makes the
 //!    histogram prefix an *exact* answer, so the analytic FA LRU hit
@@ -14,13 +14,19 @@
 //!    (7 capacities × 5 line sizes × associativity 1/2/4) the analytic
 //!    binomial set-conflict model must stay within
 //!    [`SET_CONFLICT_TOLERANCE`] of the stack-distance sweeps.
+//! 3. **Dense-search exactness** — on [`DenseGrid::standard`] at
+//!    targets 0.9/0.95/0.99, the pruned [`grid::dense_best`] must give
+//!    the answer of an exhaustive walk over every (line, sets, assoc)
+//!    point, hit-ratio bits included. Debug tests only reach small
+//!    grids; this runs the full one.
 //!
 //! Exit codes: `0` success, `1` tolerance or exactness violation, `2`
 //! bad usage. Wired into tier-1 as `./ci.sh analytic`.
 
-use bench::grid::{self, GridSpec};
+use bench::grid::{self, DenseBest, DenseGrid, GridSpec};
 use simcache::explore::measure_dcache;
-use simcache::hitratio::SET_CONFLICT_TOLERANCE;
+use simcache::hitratio::{Resolution, SET_CONFLICT_TOLERANCE};
+use simcache::Analytic;
 use simcache::CacheConfig;
 use simtrace::workload::builtins;
 use std::process::ExitCode;
@@ -94,6 +100,36 @@ fn main() -> ExitCode {
         }
     }
 
+    // Gate 3: the pruned dense search against the exhaustive walk.
+    let dense = DenseGrid::standard();
+    let targets = [0.9, 0.95, 0.99];
+    let mut mismatches = 0;
+    for program in builtins() {
+        let analytic = grid::build_analytic(program, instructions, warmup);
+        let walked = exhaustive_dense_best(&analytic, &dense, &targets);
+        for (&target, want) in targets.iter().zip(walked) {
+            let got = grid::dense_best(&analytic, &dense, target);
+            let bits = |b: Option<DenseBest>| b.map(|b| (b, b.hit_ratio.to_bits()));
+            if bits(got) != bits(want) {
+                eprintln!(
+                    "analytic_check: FAIL: {program} dense search at HR {target}: \
+                     pruned {got:?} != exhaustive {want:?}"
+                );
+                mismatches += 1;
+            }
+        }
+    }
+    if mismatches == 0 {
+        println!(
+            "analytic_check: pruned dense search matches the exhaustive walk on {} points \
+             × {} targets × {} proxies",
+            dense.points(),
+            targets.len(),
+            builtins().len()
+        );
+    }
+    failed |= mismatches > 0;
+
     if failed {
         return ExitCode::FAILURE;
     }
@@ -103,4 +139,41 @@ fn main() -> ExitCode {
         results.iter().map(|w| w.points.len()).sum::<usize>()
     );
     ExitCode::SUCCESS
+}
+
+/// The cheapest point reaching each target by visiting every row of
+/// `grid` in order (line, then sets, then assoc), a point replacing the
+/// best only when strictly cheaper — the search `dense_best` prunes.
+fn exhaustive_dense_best(
+    analytic: &Analytic,
+    grid: &DenseGrid,
+    targets: &[f64],
+) -> Vec<Option<DenseBest>> {
+    let mut best = vec![None::<DenseBest>; targets.len()];
+    for &line_bytes in &grid.line_sizes {
+        for sets in 1..=grid.max_sets {
+            let curve = analytic
+                .conflict_curve(line_bytes, sets, grid.max_assoc, Resolution::Bucketed)
+                .expect("folded line size");
+            for (&target, best) in targets.iter().zip(&mut best) {
+                for (ai, &hit_ratio) in curve.iter().enumerate() {
+                    if hit_ratio < target {
+                        continue;
+                    }
+                    let assoc = ai as u32 + 1;
+                    let cache_bytes = sets * line_bytes * u64::from(assoc);
+                    if best.is_none_or(|b| cache_bytes < b.cache_bytes) {
+                        *best = Some(DenseBest {
+                            cache_bytes,
+                            line_bytes,
+                            sets,
+                            assoc,
+                            hit_ratio,
+                        });
+                    }
+                }
+            }
+        }
+    }
+    best
 }

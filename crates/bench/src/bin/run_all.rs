@@ -10,14 +10,15 @@
 //! trace-store footer goes to stderr so stdout stays deterministic.
 //!
 //! Exit codes: `0` success, `1` one or more experiments failed, `2` a
-//! malformed `REPRO_TRACE_BUDGET`, `3` an artifact could not be written.
+//! malformed `REPRO_TRACE_BUDGET` or `REPRO_STREAM_CHUNK`, `3` an
+//! artifact could not be written.
 
 use bench::registry::RunCtx;
 use bench::sched::{drive, SuiteOptions};
 use bench::Error;
 
 fn main() {
-    if let Err(e) = bench::tracestore::budget() {
+    if let Err(e) = bench::check_env() {
         eprintln!("error: {e}");
         std::process::exit(2);
     }

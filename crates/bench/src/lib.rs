@@ -23,6 +23,17 @@
 
 pub use error::Error;
 
+/// Checks the settings read from the environment once per process —
+/// `REPRO_TRACE_BUDGET` ([`tracestore::budget`]) and
+/// `REPRO_STREAM_CHUNK` ([`stream::chunk_setting`]). The binaries call
+/// it at startup and exit 2 on an error, rather than run with a value
+/// they would ignore.
+pub fn check_env() -> Result<(), String> {
+    tracestore::budget()?;
+    stream::chunk_setting()?;
+    Ok(())
+}
+
 pub mod alpha;
 pub mod assoc;
 pub mod assumptions;

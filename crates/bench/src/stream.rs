@@ -14,8 +14,9 @@
 //! few chunks, not the trace length.
 //!
 //! The chunk size comes from `REPRO_STREAM_CHUNK` (instructions,
-//! default [`simtrace::chunk::DEFAULT_CHUNK_INSTRUCTIONS`]); the
-//! determinism contract is documented in `DESIGN.md` §12.
+//! default [`simtrace::chunk::DEFAULT_CHUNK_INSTRUCTIONS`], read once
+//! per process); the determinism contract is documented in `DESIGN.md`
+//! §12.
 
 use crate::{exec, fault};
 use simcache::stackdist::StackDistSweep;
@@ -24,7 +25,7 @@ use simtrace::chunk::{ChunkedTrace, DEFAULT_CHUNK_INSTRUCTIONS};
 use simtrace::{cancel, Instr, ReuseHistograms};
 use std::path::Path;
 use std::sync::mpsc;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// Chunks a producer may hold in flight per sink (bounded channel
 /// depth): with the producer's scratch chunk this caps trace-resident
@@ -41,14 +42,29 @@ pub fn peak_rss_bytes() -> Option<u64> {
     Some(kb * 1024)
 }
 
-/// Instructions per streamed chunk: `REPRO_STREAM_CHUNK`, defaulting to
-/// [`DEFAULT_CHUNK_INSTRUCTIONS`].
+/// The `REPRO_STREAM_CHUNK` chunk size, resolved once per process:
+/// [`DEFAULT_CHUNK_INSTRUCTIONS`] when unset, an error naming the value
+/// when it is not a positive instruction count. The binaries check it
+/// at startup ([`crate::check_env`]) and exit 2 on an error.
+pub fn chunk_setting() -> Result<usize, String> {
+    static CHUNK: OnceLock<Result<usize, String>> = OnceLock::new();
+    CHUNK
+        .get_or_init(|| {
+            let Ok(raw) = std::env::var("REPRO_STREAM_CHUNK") else {
+                return Ok(DEFAULT_CHUNK_INSTRUCTIONS);
+            };
+            raw.parse().ok().filter(|&n| n > 0).ok_or_else(|| {
+                format!("REPRO_STREAM_CHUNK: not a positive instruction count: {raw:?}")
+            })
+        })
+        .clone()
+}
+
+/// Instructions per streamed chunk: the [`chunk_setting`], or the
+/// default when the setting is malformed (the binaries have refused to
+/// start by then).
 pub fn chunk_instructions() -> usize {
-    std::env::var("REPRO_STREAM_CHUNK")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .filter(|&n| n > 0)
-        .unwrap_or(DEFAULT_CHUNK_INSTRUCTIONS)
+    chunk_setting().unwrap_or(DEFAULT_CHUNK_INSTRUCTIONS)
 }
 
 /// An order-sensitive fold over a chunked instruction stream.

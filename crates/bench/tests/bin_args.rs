@@ -78,3 +78,24 @@ fn a_malformed_trace_budget_is_a_usage_error() {
         assert!(out.status.success(), "{good}: {out:?}");
     }
 }
+
+#[test]
+fn a_malformed_stream_chunk_is_a_usage_error() {
+    let with_chunk = |exe: &str, args: &[&str], chunk: &str| {
+        Command::new(exe)
+            .args(args)
+            .env("REPRO_STREAM_CHUNK", chunk)
+            .output()
+            .expect("binary runs")
+    };
+    let exp = env!("CARGO_BIN_EXE_exp");
+    for (exe, args) in [(exp, &["list"][..]), (env!("CARGO_BIN_EXE_run_all"), &[])] {
+        for bad in ["0", "abc", "", "-5", "64k"] {
+            assert_usage_error(&with_chunk(exe, args, bad), "REPRO_STREAM_CHUNK");
+        }
+    }
+    for good in ["1", "4096", "65536"] {
+        let out = with_chunk(exp, &["list"], good);
+        assert!(out.status.success(), "{good}: {out:?}");
+    }
+}

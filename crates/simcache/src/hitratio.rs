@@ -437,18 +437,40 @@ impl Analytic {
         max_assoc: u32,
         resolution: Resolution,
     ) -> Result<Vec<f64>, BackendError> {
-        if sets == 0 || max_assoc == 0 {
+        self.conflict_curve_head(line_bytes, sets, max_assoc, max_assoc, resolution)
+    }
+
+    /// The first `ways` entries of
+    /// [`Analytic::conflict_curve`]`(line_bytes, sets, max_assoc, ..)`,
+    /// bit for bit, without computing the rest. Both walks stop or skip
+    /// histogram mass by tests on the widest associativity
+    /// (`max_assoc`), so a curve asked for only `ways` ways would round
+    /// differently; this keeps those tests and trims only the output.
+    ///
+    /// # Errors
+    ///
+    /// [`BackendError`] on an unknown granularity, `sets == 0`,
+    /// `ways == 0` or `ways > max_assoc`.
+    pub fn conflict_curve_head(
+        &self,
+        line_bytes: u64,
+        sets: u64,
+        max_assoc: u32,
+        ways: u32,
+        resolution: Resolution,
+    ) -> Result<Vec<f64>, BackendError> {
+        if sets == 0 || ways == 0 || ways > max_assoc {
             return Err(BackendError::Geometry {
-                reason: "need at least one set and one way".into(),
+                reason: "need at least one set and 1..=max_assoc ways".into(),
             });
         }
         let line = self.line(line_bytes)?;
         if line.total == 0 {
-            return Ok(vec![0.0; max_assoc as usize]);
+            return Ok(vec![0.0; ways as usize]);
         }
         if sets == 1 {
             // Fully associative at every assoc: exact integer path.
-            return Ok((1..=u64::from(max_assoc))
+            return Ok((1..=u64::from(ways))
                 .map(|a| {
                     let k = (a as usize).min(line.prefix.len() - 1);
                     line.prefix[k] as f64 / line.total as f64
@@ -456,9 +478,10 @@ impl Analytic {
                 .collect());
         }
         let eff = line.eff_sets(sets);
+        let (amax, ways) = (max_assoc as usize, ways as usize);
         let hits = match resolution {
-            Resolution::Exact => curve_exact(line, eff, max_assoc as usize),
-            Resolution::Bucketed => curve_bucketed(line, eff, max_assoc as usize),
+            Resolution::Exact => curve_exact(line, eff, amax, ways),
+            Resolution::Bucketed => curve_bucketed(line, eff, amax, ways),
         };
         Ok(hits.into_iter().map(|h| h / line.total as f64).collect())
     }
@@ -469,12 +492,13 @@ impl Analytic {
 /// credit `hist[d] · P[B ≤ a]` to every associativity `a + 1`. Stops
 /// once the conflict probability drops below [`CDF_FLOOR`] — it is
 /// monotonically decreasing in `d`, so the remaining tail cannot move
-/// the hit ratio.
-fn curve_exact(line: &AnalyticLine, eff_sets: f64, amax: usize) -> Vec<f64> {
+/// the hit ratio. Only the first `ways ≤ amax` associativities are
+/// credited; the stopping test still reads all `amax`.
+fn curve_exact(line: &AnalyticLine, eff_sets: f64, amax: usize, ways: usize) -> Vec<f64> {
     let cap = line.hist.len() - 1;
     let p = (1.0 / eff_sets).min(1.0);
     let q = 1.0 - p;
-    let mut hits = vec![0.0f64; amax];
+    let mut hits = vec![0.0f64; ways];
     let mut pmf = vec![0.0f64; amax];
     pmf[0] = 1.0;
     for (d, &h) in line.hist.iter().enumerate().take(cap) {
@@ -510,12 +534,13 @@ fn curve_exact(line: &AnalyticLine, eff_sets: f64, amax: usize) -> Vec<f64> {
 
 /// Log-bucketed conflict walk: `O(assoc)` per bucket with a Chernoff
 /// skip for buckets whose expected conflicts already swamp the widest
-/// associativity.
-fn curve_bucketed(line: &AnalyticLine, eff_sets: f64, amax: usize) -> Vec<f64> {
+/// associativity (`amax`). Only the first `ways ≤ amax` associativities
+/// are computed; each depends on the walk's lower ways alone.
+fn curve_bucketed(line: &AnalyticLine, eff_sets: f64, amax: usize, ways: usize) -> Vec<f64> {
     let p = (1.0 / eff_sets).min(1.0);
     let q = 1.0 - p;
     let lnq = q.ln();
-    let mut hits = vec![0.0f64; amax];
+    let mut hits = vec![0.0f64; ways];
     for b in &line.buckets {
         let lam = b.mean * p;
         if lam > amax as f64 + 10.0 * lam.sqrt() + 10.0 {

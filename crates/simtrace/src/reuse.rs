@@ -29,11 +29,10 @@ impl ReuseProfile {
     /// Computes the profile of a trace's data references.
     ///
     /// `max_distance` caps the histogram (distances beyond it land in
-    /// the final bucket). Distances come from the Fenwick-tree Mattson
-    /// counter ([`crate::reusehist::ReuseDistCounter`]), so the cost is
-    /// `O(refs · log distinct-lines)` — paper-scale traces profile in
-    /// seconds where the old exact-stack walk
-    /// (`O(refs × distinct-lines)`) needed hours.
+    /// the final bucket). Distances come from the counted-bitset
+    /// Mattson counter ([`crate::reusehist::ReuseDistCounter`]), so
+    /// paper-scale traces profile in seconds where the old exact-stack
+    /// walk (`O(refs × distinct-lines)`) needed hours.
     ///
     /// # Panics
     ///

@@ -1,15 +1,18 @@
-//! Streaming reuse-distance histograms in `O(refs · log distinct)`.
+//! Streaming reuse-distance histograms.
 //!
 //! [`crate::reuse::ReuseProfile`]'s original stack walk paid
 //! `O(distinct lines)` per reference (`Vec::remove` on the LRU stack).
-//! This module replaces the stack with Mattson's classic tree
-//! formulation: every line's *last-access time* occupies a slot on a
-//! timeline, a Fenwick tree counts live slots, and the reuse distance
-//! of an access is simply the number of live slots **after** the line's
-//! previous slot — one prefix query and two point updates, all
-//! `O(log n)`. Slots are recycled by periodic compaction (amortised
-//! `O(log n)` per access), so the structure never grows beyond
-//! `2 × distinct lines`.
+//! This module replaces the stack with Mattson's timeline formulation:
+//! every line's *last-access time* occupies a slot on a timeline, and
+//! the reuse distance of an access is the number of live slots **after**
+//! the line's previous slot. The live slots are a counted bitset — marks
+//! in `u64` words, with mark counts per block and per superblock above
+//! them — so a query counts a few words and counters (a recent reuse
+//! stays inside a word or two) and moving a mark updates one entry per
+//! level. Slots are recycled by periodic compaction, which ranks the
+//! live slots by a running popcount; capacity doubles only when over
+//! half the slots are live, so the timeline stays under four slots per
+//! distinct line (past its initial 1 024).
 //!
 //! [`ReuseHistograms`] runs one [`ReuseDistCounter`] per power-of-two
 //! line granularity over a single pass of the trace — the halving of a
@@ -18,7 +21,7 @@
 //! chunk-invariant (`process_slice` over any partition is bit-identical
 //! to per-instruction feeding) and mirrors
 //! `StackDistSweep`'s warm-up snapshot contract exactly: totals are
-//! frozen when the instruction count reaches `warmup`, the tree state
+//! frozen when the instruction count reaches `warmup`, the mark state
 //! (cache contents) survives, and the post-warm-up histogram is the
 //! difference — so the analytic backend built on top agrees with the
 //! simulated sweep on warmed statistics.
@@ -54,46 +57,34 @@ impl LineMap {
         ((h ^ (h >> 29)) as usize) & (self.keys.len() - 1)
     }
 
-    /// Returns the slot of `line`, or `None` if unseen.
+    /// `Ok(bucket)` holding `line`, or `Err(bucket)`: the empty bucket
+    /// where it would be inserted.
     #[inline]
-    fn get(&self, line: u64) -> Option<u32> {
+    fn find(&self, line: u64) -> Result<usize, usize> {
         let key = line + 1;
         let mask = self.keys.len() - 1;
         let mut i = self.bucket(key);
         loop {
             let k = self.keys[i];
             if k == key {
-                return Some(self.vals[i]);
+                return Ok(i);
             }
             if k == 0 {
-                return None;
+                return Err(i);
             }
             i = (i + 1) & mask;
         }
     }
 
-    /// Inserts or updates `line → slot`.
+    /// Inserts `line → slot` into the empty `bucket` [`LineMap::find`]
+    /// returned for it.
     #[inline]
-    fn set(&mut self, line: u64, slot: u32) {
-        let key = line + 1;
-        let mask = self.keys.len() - 1;
-        let mut i = self.bucket(key);
-        loop {
-            let k = self.keys[i];
-            if k == key {
-                self.vals[i] = slot;
-                return;
-            }
-            if k == 0 {
-                self.keys[i] = key;
-                self.vals[i] = slot;
-                self.len += 1;
-                if self.len * 4 > self.keys.len() * 3 {
-                    self.grow();
-                }
-                return;
-            }
-            i = (i + 1) & mask;
+    fn insert_at(&mut self, bucket: usize, line: u64, slot: u32) {
+        self.keys[bucket] = line + 1;
+        self.vals[bucket] = slot;
+        self.len += 1;
+        if self.len * 4 > self.keys.len() * 3 {
+            self.grow();
         }
     }
 
@@ -102,19 +93,13 @@ impl LineMap {
         let old_vals = std::mem::take(&mut self.vals);
         self.keys = vec![0; old_keys.len() * 2];
         self.vals = vec![0; old_keys.len() * 2];
-        self.len = 0;
         for (k, v) in old_keys.into_iter().zip(old_vals) {
             if k != 0 {
-                self.set(k - 1, v);
-            }
-        }
-    }
-
-    /// Visits every `(line, slot)` pair in arbitrary order.
-    fn for_each(&self, mut f: impl FnMut(u64, u32)) {
-        for (k, v) in self.keys.iter().zip(&self.vals) {
-            if *k != 0 {
-                f(*k - 1, *v);
+                let Err(bucket) = self.find(k - 1) else {
+                    unreachable!("keys are unique")
+                };
+                self.keys[bucket] = k;
+                self.vals[bucket] = v;
             }
         }
     }
@@ -129,12 +114,108 @@ impl LineMap {
     }
 
     fn bytes(&self) -> usize {
-        self.keys.len() * (std::mem::size_of::<u64>() + std::mem::size_of::<u32>())
+        self.keys.capacity() * std::mem::size_of::<u64>()
+            + self.vals.capacity() * std::mem::size_of::<u32>()
     }
 }
 
-/// An exact single-granularity Mattson reuse-distance counter,
-/// `O(log distinct-lines)` amortised per reference.
+/// Live-slot marks on a counter's timeline: one bit per slot in `u64`
+/// words, with mark counts per block of [`BLOCK_WORDS`] words and per
+/// superblock of [`SUPER_BLOCKS`] blocks above them. Counting the marks
+/// after a slot walks at most a block's words, a superblock's block
+/// counts and the superblock counts, most of it contiguous; a recent
+/// reuse (the common case) stays inside one or two words. Setting or
+/// clearing a mark touches one entry per level.
+#[derive(Debug, Clone)]
+struct SlotMarks {
+    words: Vec<u64>,
+    blocks: Vec<u32>,
+    supers: Vec<u32>,
+}
+
+/// Words per counted block (512 slots).
+const BLOCK_WORDS: usize = 8;
+/// Blocks per counted superblock (4096 slots).
+const SUPER_BLOCKS: usize = 8;
+const BLOCK_SLOTS: usize = 64 * BLOCK_WORDS;
+const SUPER_SLOTS: usize = BLOCK_SLOTS * SUPER_BLOCKS;
+
+impl SlotMarks {
+    /// No marks over `cap` slots.
+    fn new(cap: usize) -> Self {
+        let mut marks = SlotMarks {
+            words: Vec::new(),
+            blocks: Vec::new(),
+            supers: Vec::new(),
+        };
+        marks.fill(0, cap);
+        marks
+    }
+
+    #[inline]
+    fn set(&mut self, slot: usize) {
+        self.words[slot / 64] |= 1 << (slot % 64);
+        self.blocks[slot / BLOCK_SLOTS] += 1;
+        self.supers[slot / SUPER_SLOTS] += 1;
+    }
+
+    #[inline]
+    fn clear(&mut self, slot: usize) {
+        self.words[slot / 64] &= !(1 << (slot % 64));
+        self.blocks[slot / BLOCK_SLOTS] -= 1;
+        self.supers[slot / SUPER_SLOTS] -= 1;
+    }
+
+    /// Marks in the slots after `slot`, given that every mark lies
+    /// below `end` (`slot < end`).
+    #[inline]
+    fn count_after(&self, slot: usize, end: usize) -> usize {
+        let (w, last_w) = (slot / 64, (end - 1) / 64);
+        let mut n = (self.words[w] >> (slot % 64) >> 1).count_ones();
+        let (b, last_b) = (w / BLOCK_WORDS, last_w / BLOCK_WORDS);
+        if b == last_b {
+            return (n + popcount(&self.words[w + 1..=last_w])) as usize;
+        }
+        n += popcount(&self.words[w + 1..(b + 1) * BLOCK_WORDS]);
+        let (s, last_s) = (b / SUPER_BLOCKS, last_b / SUPER_BLOCKS);
+        if s == last_s {
+            return (n + self.blocks[b + 1..=last_b].iter().sum::<u32>()) as usize;
+        }
+        n += self.blocks[b + 1..(s + 1) * SUPER_BLOCKS]
+            .iter()
+            .sum::<u32>();
+        (n + self.supers[s + 1..=last_s].iter().sum::<u32>()) as usize
+    }
+
+    /// Marks exactly the slots `0..live` of a `cap`-slot timeline.
+    fn fill(&mut self, live: usize, cap: usize) {
+        fn counts(v: &mut Vec<u32>, live: usize, cap: usize, per: usize) {
+            v.clear();
+            v.extend((0..cap.div_ceil(per)).map(|i| live.saturating_sub(i * per).min(per) as u32));
+        }
+        self.words.clear();
+        self.words.resize(cap / 64, 0);
+        self.words[..live / 64].fill(u64::MAX);
+        if !live.is_multiple_of(64) {
+            self.words[live / 64] = (1 << (live % 64)) - 1;
+        }
+        counts(&mut self.blocks, live, cap, BLOCK_SLOTS);
+        counts(&mut self.supers, live, cap, SUPER_SLOTS);
+    }
+
+    /// Allocated bytes across the three levels.
+    fn bytes(&self) -> usize {
+        self.words.capacity() * std::mem::size_of::<u64>()
+            + (self.blocks.capacity() + self.supers.capacity()) * std::mem::size_of::<u32>()
+    }
+}
+
+#[inline]
+fn popcount(words: &[u64]) -> u32 {
+    words.iter().map(|w| w.count_ones()).sum()
+}
+
+/// An exact single-granularity Mattson reuse-distance counter.
 ///
 /// Feed it line numbers in trace order via [`ReuseDistCounter::access`];
 /// the histogram, cold-miss and total counters match
@@ -162,11 +243,10 @@ pub struct ReuseDistCounter {
     /// count lets a few hot lines masquerade as heavy aliasing.
     set_mass: Vec<u64>,
     map: LineMap,
-    /// Fenwick tree over time slots, 1-indexed; `bit[i]` covers leaf
-    /// marks where a mark means "some line's most recent access lives
-    /// in this slot".
-    bit: Vec<u32>,
-    /// Slot capacity (power of two, `bit.len() - 1`).
+    /// A mark means "some line's most recent access lives in this
+    /// slot".
+    marks: SlotMarks,
+    /// Slot capacity (a power of two).
     cap: usize,
     /// Next unassigned slot; slots `0..next_slot` have been issued.
     next_slot: usize,
@@ -174,7 +254,7 @@ pub struct ReuseDistCounter {
     live: usize,
     /// Most recently accessed line (`u64::MAX` before the first access)
     /// — repeated touches of the top-of-stack line are distance 0 and
-    /// skip the tree entirely.
+    /// skip the marks entirely.
     last_line: u64,
 }
 
@@ -202,33 +282,12 @@ impl ReuseDistCounter {
             seq: 0,
             set_mass: vec![0; 1 << SET_CLASS_LOG2],
             map: LineMap::new(),
-            bit: vec![0; Self::INITIAL_SLOTS + 1],
+            marks: SlotMarks::new(Self::INITIAL_SLOTS),
             cap: Self::INITIAL_SLOTS,
             next_slot: 0,
             live: 0,
             last_line: u64::MAX,
         }
-    }
-
-    #[inline]
-    fn bit_add(&mut self, slot: usize, delta: i32) {
-        let mut i = slot + 1;
-        while i <= self.cap {
-            self.bit[i] = self.bit[i].wrapping_add(delta as u32);
-            i += i & i.wrapping_neg();
-        }
-    }
-
-    /// Live marks in slots `0..=slot`.
-    #[inline]
-    fn bit_prefix(&self, slot: usize) -> u32 {
-        let mut i = slot + 1;
-        let mut sum = 0u32;
-        while i > 0 {
-            sum += self.bit[i];
-            i -= i & i.wrapping_neg();
-        }
-        sum
     }
 
     /// Records one reference to `line`, updating the histogram.
@@ -237,8 +296,8 @@ impl ReuseDistCounter {
         self.total += 1;
         if line == self.last_line {
             // Top-of-stack touch: distance 0 by definition, and the
-            // line's slot is already the most recent mark, so the tree
-            // needs no update.
+            // line's slot is already the most recent mark, so the marks
+            // need no update.
             self.hist[0] += 1;
             return;
         }
@@ -248,26 +307,28 @@ impl ReuseDistCounter {
         }
         self.last_line = line;
         // Allocate before touching any mark: compaction (inside
-        // `alloc_slot`) rebuilds the tree from the map, so the map must
-        // still describe exactly the live marks when it runs — and it
-        // may remap the line's slot, so the lookup comes after.
+        // `alloc_slot`) ranks the live marks and rewrites the map, so
+        // the map must still describe exactly the live marks when it
+        // runs — and it may remap the line's slot, so the lookup comes
+        // after.
         let fresh = self.alloc_slot();
-        match self.map.get(line) {
-            Some(slot) => {
+        match self.map.find(line) {
+            Ok(bucket) => {
                 // Every mark after the line's previous slot is a line
                 // touched since — the reuse distance.
-                let distance = self.live - self.bit_prefix(slot as usize) as usize;
+                let slot = self.map.vals[bucket] as usize;
+                let distance = self.marks.count_after(slot, fresh);
                 let last = self.hist.len() - 1;
                 self.hist[distance.min(last)] += 1;
-                self.bit_add(slot as usize, -1);
-                self.bit_add(fresh, 1);
-                self.map.set(line, fresh as u32);
+                self.marks.clear(slot);
+                self.marks.set(fresh);
+                self.map.vals[bucket] = fresh as u32;
             }
-            None => {
+            Err(bucket) => {
                 self.cold += 1;
                 self.set_mass[(line & ((1 << SET_CLASS_LOG2) - 1)) as usize] += 1;
-                self.bit_add(fresh, 1);
-                self.map.set(line, fresh as u32);
+                self.marks.set(fresh);
+                self.map.insert_at(bucket, line, fresh as u32);
                 self.live += 1;
             }
         }
@@ -284,34 +345,31 @@ impl ReuseDistCounter {
     }
 
     /// Reassigns the `live` marked slots to `0..live` (preserving
-    /// order) and rebuilds the tree. Runs when the timeline is
-    /// exhausted; capacity doubles whenever more than half the slots
-    /// are live, so at least `cap / 2` accesses separate compactions
-    /// and the amortised cost stays `O(log n)` per access.
+    /// order) and re-marks them. Runs when the timeline is exhausted;
+    /// capacity doubles whenever more than half the slots are live, so
+    /// at least `cap / 2` accesses separate compactions. A live slot's
+    /// new index is its rank — the marks before it — read off one
+    /// prefix count per word, so compaction is linear in the capacity
+    /// and the map.
     fn compact(&mut self) {
+        let words = &self.marks.words;
+        let mut before = 0u32;
+        let word_rank: Vec<u32> = words
+            .iter()
+            .map(|w| {
+                let rank = before;
+                before += w.count_ones();
+                rank
+            })
+            .collect();
+        self.map.remap(|slot| {
+            let (w, bit) = (slot as usize / 64, slot % 64);
+            word_rank[w] + (words[w] & ((1 << bit) - 1)).count_ones()
+        });
         if self.live * 2 > self.cap {
             self.cap *= 2;
         }
-        let mut entries: Vec<(u32, u64)> = Vec::with_capacity(self.live);
-        self.map.for_each(|line, slot| entries.push((slot, line)));
-        entries.sort_unstable();
-        let mut order = vec![0u32; self.next_slot];
-        for (rank, &(slot, line)) in entries.iter().enumerate() {
-            order[slot as usize] = rank as u32;
-            let _ = line;
-        }
-        self.map.remap(|slot| order[slot as usize]);
-        // All of `0..live` is marked: a Fenwick tree over an all-ones
-        // array is `bit[i] = lowbit(i)` for i ≤ live, clipped to the
-        // range each node covers.
-        self.bit = vec![0; self.cap + 1];
-        for i in 1..=self.cap {
-            let low = i & i.wrapping_neg();
-            let covered_from = i - low; // node i covers (i-low, i]
-            if covered_from < self.live {
-                self.bit[i] = (self.live.min(i) - covered_from) as u32;
-            }
-        }
+        self.marks.fill(self.live, self.cap);
         self.next_slot = self.live;
     }
 
@@ -352,10 +410,11 @@ impl ReuseDistCounter {
         &self.hist
     }
 
-    /// Approximate heap footprint, for cache-budget accounting.
+    /// Heap footprint by allocated capacity, for cache-budget
+    /// accounting.
     pub fn bytes(&self) -> usize {
-        (self.hist.len() + self.set_mass.len()) * std::mem::size_of::<u64>()
-            + self.bit.len() * std::mem::size_of::<u32>()
+        (self.hist.capacity() + self.set_mass.capacity()) * std::mem::size_of::<u64>()
+            + self.marks.bytes()
             + self.map.bytes()
     }
 }
@@ -377,7 +436,7 @@ struct HistTotals {
 /// bit-identical) and read per-granularity [`crate::ReuseProfile`]s
 /// back with [`ReuseHistograms::profile`]. Warm-up follows the
 /// `StackDistSweep` contract: the histogram snapshot is taken the
-/// moment the instruction count reaches `warmup`, tree state survives,
+/// moment the instruction count reaches `warmup`, mark state survives,
 /// and [`ReuseHistograms::profile`] reports post-warm-up counts.
 #[derive(Debug, Clone)]
 pub struct ReuseHistograms {
@@ -578,20 +637,20 @@ impl ReuseHistograms {
         Some(self.counters.get(idx)?.set_mass())
     }
 
-    /// Approximate heap footprint across all granularities, for the
-    /// trace-store byte budget.
+    /// Heap footprint across all granularities by allocated capacity,
+    /// for the trace-store byte budget.
     pub fn bytes(&self) -> usize {
         let counters: usize = self.counters.iter().map(ReuseDistCounter::bytes).sum();
-        let base = self
-            .warm_base
-            .as_ref()
-            .map(|b| {
-                b.iter()
-                    .map(|t| t.hist.len() * std::mem::size_of::<u64>())
-                    .sum()
-            })
-            .unwrap_or(0);
-        counters + base + std::mem::size_of::<Self>()
+        let base: usize = self.warm_base.as_ref().map_or(0, |b| {
+            b.capacity() * std::mem::size_of::<HistTotals>()
+                + b.iter()
+                    .map(|t| t.hist.capacity() * std::mem::size_of::<u64>())
+                    .sum::<usize>()
+        });
+        counters
+            + self.counters.capacity() * std::mem::size_of::<ReuseDistCounter>()
+            + base
+            + std::mem::size_of::<Self>()
     }
 }
 
@@ -757,11 +816,41 @@ mod tests {
 
     #[test]
     fn bytes_accounts_for_growth() {
-        let mut fold = ReuseHistograms::new(8, 64, 1024, 0);
+        let mut fold = ReuseHistograms::new(8, 64, 1024, 10_000);
         let before = fold.bytes();
         let trace: Vec<Instr> = builtin("nasa7").unwrap().compile(5).take(20_000).collect();
         fold.process_slice(&trace);
         assert!(fold.bytes() >= before);
         assert!(fold.bytes() > 4 * 1025 * 8, "histograms alone exceed this");
+        // The fold grew and compacted its timelines; the budget figure
+        // still covers every allocated buffer.
+        let finest = &fold.counters[0];
+        assert!(
+            finest.cap > ReuseDistCounter::INITIAL_SLOTS,
+            "capacity doubled"
+        );
+        assert!(finest.next_slot < finest.cap);
+        let u64s: usize = fold
+            .counters
+            .iter()
+            .map(|c| {
+                c.hist.capacity()
+                    + c.set_mass.capacity()
+                    + c.map.keys.capacity()
+                    + c.marks.words.capacity()
+            })
+            .sum::<usize>()
+            + fold
+                .warm_base
+                .iter()
+                .flatten()
+                .map(|t| t.hist.capacity())
+                .sum::<usize>();
+        let u32s: usize = fold
+            .counters
+            .iter()
+            .map(|c| c.map.vals.capacity() + c.marks.blocks.capacity() + c.marks.supers.capacity())
+            .sum();
+        assert!(fold.bytes() >= u64s * 8 + u32s * 4);
     }
 }

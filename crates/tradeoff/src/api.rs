@@ -269,43 +269,80 @@ pub struct DenseBest {
     pub hit_ratio: f64,
 }
 
-/// Walks the whole dense grid for one workload and returns the
-/// smallest-capacity geometry whose analytic hit ratio reaches
-/// `target_hr` (ties resolved by walk order: line, then sets, then
-/// assoc). Bucketed resolution: one `conflict_curve` per (line, sets)
-/// answers all `max_assoc` ways at once. Each (line, sets) row checks
-/// the cooperative deadline ([`simtrace::cancel::check`]).
+/// The smallest-capacity geometry on the dense grid whose analytic hit
+/// ratio reaches `target_hr`, for one workload. Ties go to the smallest
+/// `(cache_bytes, index in grid.line_sizes, sets, assoc)` — the first
+/// such point in the order line, then sets, then assoc. Bucketed
+/// resolution: one `conflict_curve` per (line, sets) row answers its
+/// ways at once.
+///
+/// The search is exact but prunes. A pass over the power-of-two set
+/// counts of every line seeds the best cost so far. The full walk then
+/// stops a line's sets loop at the first row whose 1-way cost
+/// `sets × line` exceeds the best cost, since every later row of that
+/// line costs more still, and within a row it computes only the ways
+/// that cost no more than the best. The answer, hit-ratio bits
+/// included, is the exhaustive walk's: the curve's skip test keeps the
+/// grid's `max_assoc` ([`Analytic::conflict_curve_head`]). Each
+/// evaluated row checks the cooperative deadline
+/// ([`simtrace::cancel::check`]).
 ///
 /// # Panics
 ///
 /// Panics when a requested line size was not folded into `analytic`.
 pub fn dense_best(analytic: &Analytic, grid: &DenseGrid, target_hr: f64) -> Option<DenseBest> {
-    let mut best: Option<DenseBest> = None;
-    for &line_bytes in &grid.line_sizes {
+    let mut best: Option<(usize, DenseBest)> = None;
+    // Visits row (line, sets); `false` once the row's 1-way cost
+    // exceeds the best, which ends the line's ascending sets loop.
+    let mut row = |li: usize, line_bytes: u64, sets: u64| -> bool {
+        let one_way = sets * line_bytes;
+        let ways = match &best {
+            Some((_, b)) if one_way > b.cache_bytes => return false,
+            Some((_, b)) => (b.cache_bytes / one_way).min(u64::from(grid.max_assoc)) as u32,
+            None => grid.max_assoc,
+        };
+        simtrace::cancel::check();
+        let curve = analytic
+            .conflict_curve_head(line_bytes, sets, grid.max_assoc, ways, Resolution::Bucketed)
+            .expect("dense grid line sizes are folded");
+        for (ai, &hit_ratio) in curve.iter().enumerate() {
+            if hit_ratio < target_hr {
+                continue;
+            }
+            let assoc = ai as u32 + 1;
+            let cache_bytes = one_way * u64::from(assoc);
+            let wins = best.as_ref().is_none_or(|(bi, b)| {
+                (cache_bytes, li, sets, assoc) < (b.cache_bytes, *bi, b.sets, b.assoc)
+            });
+            if wins {
+                let found = DenseBest {
+                    cache_bytes,
+                    line_bytes,
+                    sets,
+                    assoc,
+                    hit_ratio,
+                };
+                best = Some((li, found));
+            }
+        }
+        true
+    };
+    for (li, &line_bytes) in grid.line_sizes.iter().enumerate() {
+        let mut sets = 1;
+        while sets <= grid.max_sets && row(li, line_bytes, sets) {
+            sets *= 2;
+        }
+    }
+    for (li, &line_bytes) in grid.line_sizes.iter().enumerate() {
         for sets in 1..=grid.max_sets {
-            simtrace::cancel::check();
-            let curve = analytic
-                .conflict_curve(line_bytes, sets, grid.max_assoc, Resolution::Bucketed)
-                .expect("dense grid line sizes are folded");
-            for (ai, &hit_ratio) in curve.iter().enumerate() {
-                if hit_ratio < target_hr {
-                    continue;
-                }
-                let assoc = ai as u32 + 1;
-                let cache_bytes = sets * line_bytes * u64::from(assoc);
-                if best.is_none_or(|b| cache_bytes < b.cache_bytes) {
-                    best = Some(DenseBest {
-                        cache_bytes,
-                        line_bytes,
-                        sets,
-                        assoc,
-                        hit_ratio,
-                    });
-                }
+            // The seed pass already visited the power-of-two rows it
+            // reached; the ones it pruned lie past this loop's break.
+            if !sets.is_power_of_two() && !row(li, line_bytes, sets) {
+                break;
             }
         }
     }
-    best
+    best.map(|(_, b)| b)
 }
 
 // ---------------------------------------------------------------------------

@@ -4,7 +4,7 @@
 
 use report::Json;
 use std::io::{Read, Write};
-use std::process::{Child, Command, Stdio};
+use std::process::{Child, Command, ExitStatus, Stdio};
 use std::time::{Duration, Instant};
 use unified_tradeoff::server::{http_call, http_request, HttpClient};
 
@@ -628,24 +628,18 @@ fn overload_sheds_expensive_queries_with_retry_after() {
     );
 }
 
-#[test]
-fn a_malformed_trace_budget_is_a_usage_error() {
-    let mut server = Command::new(env!("CARGO_BIN_EXE_tradeoff-server"))
-        .args(["--addr", "127.0.0.1:0"])
-        .env("REPRO_TRACE_BUDGET", "12x")
-        .stdout(Stdio::null())
-        .stderr(Stdio::piped())
-        .spawn()
-        .expect("server binary spawns");
-    // A server that accepted the value would serve until killed.
-    let deadline = Instant::now() + Duration::from_secs(30);
+/// Waits for a server started with a malformed setting to exit, and
+/// returns its status and stderr. A server that accepted the setting
+/// would serve until killed.
+fn exit_within(mut server: Child, timeout: Duration) -> (ExitStatus, String) {
+    let deadline = Instant::now() + timeout;
     let status = loop {
         if let Some(status) = server.try_wait().expect("server status") {
             break status;
         }
         if Instant::now() > deadline {
             let _ = server.kill();
-            panic!("the server started with a malformed REPRO_TRACE_BUDGET");
+            panic!("the server started with a malformed setting");
         }
         std::thread::sleep(Duration::from_millis(10));
     };
@@ -656,6 +650,19 @@ fn a_malformed_trace_budget_is_a_usage_error() {
         .expect("piped stderr")
         .read_to_string(&mut stderr)
         .expect("stderr reads");
+    (status, stderr)
+}
+
+#[test]
+fn a_malformed_trace_budget_is_a_usage_error() {
+    let server = Command::new(env!("CARGO_BIN_EXE_tradeoff-server"))
+        .args(["--addr", "127.0.0.1:0"])
+        .env("REPRO_TRACE_BUDGET", "12x")
+        .stdout(Stdio::null())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("server binary spawns");
+    let (status, stderr) = exit_within(server, Duration::from_secs(30));
     assert_eq!(status.code(), Some(2), "{stderr}");
     assert!(stderr.contains("REPRO_TRACE_BUDGET"), "{stderr}");
 
@@ -667,4 +674,29 @@ fn a_malformed_trace_budget_is_a_usage_error() {
     assert_eq!(cli.status.code(), Some(2));
     assert!(String::from_utf8_lossy(&cli.stderr).contains("REPRO_TRACE_BUDGET"));
     assert!(cli.stdout.is_empty());
+}
+
+#[test]
+fn a_malformed_stream_chunk_is_a_usage_error() {
+    let server = Command::new(env!("CARGO_BIN_EXE_tradeoff-server"))
+        .args(["--addr", "127.0.0.1:0"])
+        .env("REPRO_STREAM_CHUNK", "0")
+        .stdout(Stdio::null())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("server binary spawns");
+    let (status, stderr) = exit_within(server, Duration::from_secs(30));
+    assert_eq!(status.code(), Some(2), "{stderr}");
+    assert!(stderr.contains("REPRO_STREAM_CHUNK"), "{stderr}");
+
+    for bad in ["0", "abc"] {
+        let cli = Command::new(env!("CARGO_BIN_EXE_tradeoff-cli"))
+            .args(["experiments", "list"])
+            .env("REPRO_STREAM_CHUNK", bad)
+            .output()
+            .expect("cli binary runs");
+        assert_eq!(cli.status.code(), Some(2), "{bad}");
+        assert!(String::from_utf8_lossy(&cli.stderr).contains("REPRO_STREAM_CHUNK"));
+        assert!(cli.stdout.is_empty());
+    }
 }
