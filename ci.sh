@@ -15,6 +15,8 @@
 #                    deterministic and survivable, no worker dies, and
 #                    the post-chaos canned answer is byte-identical to
 #                    a clean server's)
+#                    + engines (one simulated-grid sizing, Cpu::new
+#                    allowlist)
 #                    + workloads (every example spec validates, builtin
 #                    specs keep their pinned content hashes and compile
 #                    to their pinned golden stream digests)
@@ -43,6 +45,12 @@
 #                    and a 6x overload flood — the pool must keep
 #                    its size and a post-chaos canned query must be
 #                    byte-identical to a clean server's answer)
+#   ./ci.sh engines  run only the engine grep: in non-test code,
+#                    StackDistSweep::new_range appears only in
+#                    GridSpec::sweeps, and Cpu::new in crates/bench/src
+#                    only in the experiments the timeline cannot replay
+#                    yet (assumptions, l2, mi, prefetch, writemiss) and
+#                    the stream_smoke / profile_proxies binaries
 #   ./ci.sh workloads run only the workload-spec gate (every example
 #                    spec in workloads/ validates; the six builtin
 #                    example files hash to the ids the registry serves;
@@ -298,6 +306,51 @@ chaos_check() {
     rm -rf "$tmp"
 }
 
+# Prints FILE:LINE:FN for every non-test line of the given Rust files
+# matching the awk regex $1: lines above a file's first #[cfg(test)],
+# comment lines skipped, FN the innermost `fn` declared above the match.
+non_test_matches() {
+    local pat="$1"
+    shift
+    awk -v pat="$pat" '
+        FNR == 1 { in_test = 0; fn = "" }
+        in_test { next }
+        /^#\[cfg\(test\)\]/ { in_test = 1; next }
+        { line = $0; sub(/^[ \t]+/, "", line) }
+        line ~ /^\/\// { next }
+        match(line, /(^|[^A-Za-z0-9_])fn [A-Za-z0-9_]+/) {
+            fn = substr(line, RSTART, RLENGTH); sub(/.*fn /, "", fn)
+        }
+        line ~ pat { print FILENAME ":" FNR ":" fn }
+    ' "$@"
+}
+
+engines_check() {
+    echo "==> engines: one simulated-grid sizing; Cpu::new only where the timeline cannot replay yet"
+    local rust stray
+    rust="$(find . -name '*.rs' -not -path '*/target/*' -not -path './.*' \
+        -not -path '*/tests/*' | sort)"
+    # Every simulated grid sizes its sweeps through GridSpec::sweeps;
+    # no other non-test code may call StackDistSweep::new_range.
+    # shellcheck disable=SC2086
+    stray="$(non_test_matches 'StackDistSweep::new_range' $rust \
+        | grep -v '^\./crates/tradeoff/src/api\.rs:[0-9]*:sweeps$' || true)"
+    [[ -z "$stray" ]] \
+        || { echo "FAIL: StackDistSweep::new_range outside GridSpec::sweeps:"; echo "$stray"; exit 1; }
+    # Full CPU simulation in the experiments is a ratchet: only the
+    # experiments whose configurations the timeline cannot replay yet
+    # (an L2, prefetch, an instruction cache, write-around) may build a
+    # Cpu, plus the two binaries that use it as their oracle or profile.
+    # shellcheck disable=SC2086
+    stray="$(non_test_matches '(^|[^A-Za-z0-9_])Cpu::new[(]' \
+        $(grep '^\./crates/bench/src/' <<< "$rust") \
+        | grep -Ev '^\./crates/bench/src/(assumptions|l2|mi|prefetch|writemiss|bin/stream_smoke|bin/profile_proxies)\.rs:' \
+        || true)"
+    [[ -z "$stray" ]] \
+        || { echo "FAIL: Cpu::new outside the allowlist:"; echo "$stray"; exit 1; }
+    echo "    engines: new_range only in GridSpec::sweeps, Cpu::new only in the allowlist"
+}
+
 workloads_check() {
     echo "==> workloads: example specs validate, builtin ids pinned"
     local out id listing
@@ -368,6 +421,12 @@ if [[ "${1:-}" == "chaos" ]]; then
     exit 0
 fi
 
+if [[ "${1:-}" == "engines" ]]; then
+    engines_check
+    echo "CI green."
+    exit 0
+fi
+
 if [[ "${1:-}" == "workloads" ]]; then
     cargo build --release
     workloads_check
@@ -386,6 +445,8 @@ cargo fmt --check
 
 echo "==> lint: cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
+
+engines_check
 
 manifest_check
 faults_check

@@ -17,10 +17,12 @@
 //! criterion point so `cargo bench` tracks the pipeline's shape over
 //! time.
 
+use bench::grid::GridSpec;
 use bench::stream::{self, FoldOut, FoldSink, StreamBenchResult};
+use bench::sweep::grid_points;
 use criterion::{criterion_group, criterion_main, Criterion};
 use simcache::explore::{hit_ratio_grid_replay, HitRatioPoint};
-use simcache::stackdist::StackDistSweep;
+use simcache::Simulated;
 use simcpu::{Cpu, CpuConfig, MissTimeline, MissTimelineBuilder, StallFeature};
 use simmem::{BusWidth, MemoryTiming};
 use simtrace::workload::builtin;
@@ -37,8 +39,6 @@ const INSTRUCTIONS: usize = 5_000_000;
 const LARGE_INSTRUCTIONS: usize = 50_000_000;
 const SEED: u64 = 7;
 const PROGRAM: &str = "nasa7";
-const LINES: [u64; 5] = [8, 16, 32, 64, 128];
-const ASSOC: u32 = 2;
 /// Figure-1 φ points: every blocking stall feature of Table 2 over the
 /// full paper β_m sweep, at three bus widths. Every one of these is a
 /// fresh 5 M-instruction `Cpu::run` for the baseline; the streaming
@@ -55,10 +55,6 @@ const FEATURES: [StallFeature; 5] = [
 const BETAS: [u64; 7] = bench::fig1::BETAS;
 const BUSES: [u64; 3] = [4, 8, 16];
 
-fn sizes() -> Vec<u64> {
-    (0..=6).map(|i| 1024u64 << i).collect()
-}
-
 fn phi_points() -> Vec<(StallFeature, u64, u64)> {
     FEATURES
         .iter()
@@ -71,7 +67,7 @@ fn phi_points() -> Vec<(StallFeature, u64, u64)> {
 }
 
 fn phi_cache() -> simcache::CacheConfig {
-    simcache::CacheConfig::new(8 * 1024, 32, ASSOC).expect("valid 8KB cache")
+    simcache::CacheConfig::new(8 * 1024, 32, 2).expect("valid 8KB cache")
 }
 
 fn config(stall: StallFeature, beta: u64, bus: u64) -> CpuConfig {
@@ -89,31 +85,24 @@ fn trace(n: usize) -> impl Iterator<Item = Instr> {
         .take(n)
 }
 
-/// Assembles grid points from per-line-size sweeps, (cache, line) order
-/// like the replay oracle.
-fn grid_from_sweeps(sweeps: &[StackDistSweep], sizes: &[u64]) -> Vec<HitRatioPoint> {
-    let mut points = Vec::with_capacity(sizes.len() * LINES.len());
-    for &cache_bytes in sizes {
-        for (li, &line_bytes) in LINES.iter().enumerate() {
-            let sets = cache_bytes / (line_bytes * u64::from(ASSOC));
-            let stats = sweeps[li].stats(sets.trailing_zeros(), ASSOC);
-            points.push(HitRatioPoint {
-                cache_bytes,
-                line_bytes,
-                hit_ratio: stats.hit_ratio(),
-                flush_ratio: stats.flush_ratio(),
-            });
-        }
-    }
-    points
+/// The Figure-6 grid at trace length `n` (warm-up `n / 5`).
+fn grid(n: usize) -> GridSpec {
+    GridSpec::figure6(n as u64 / 5)
 }
 
 /// The materialise-then-scan baseline: collect the trace, replay it per
 /// grid configuration, full-simulate it per φ point.
-fn baseline(n: usize, sizes: &[u64]) -> (Vec<HitRatioPoint>, Vec<f64>) {
+fn baseline(n: usize) -> (Vec<HitRatioPoint>, Vec<f64>) {
     let whole: Vec<Instr> = trace(n).collect();
-    let grid = hit_ratio_grid_replay(sizes, &LINES, ASSOC, || whole.iter().copied(), n as u64 / 5)
-        .expect("valid grid");
+    let spec = grid(n);
+    let grid = hit_ratio_grid_replay(
+        &spec.cache_sizes,
+        &spec.line_sizes,
+        spec.assocs[0],
+        || whole.iter().copied(),
+        spec.warmup,
+    )
+    .expect("valid grid");
     let phis = phi_points()
         .iter()
         .map(|&(stall, beta, bus)| {
@@ -128,41 +117,14 @@ fn baseline(n: usize, sizes: &[u64]) -> (Vec<HitRatioPoint>, Vec<f64>) {
 /// The streaming pipeline: one chunked generation pass broadcast into
 /// five sweep sinks and a timeline sink, then one batched `O(misses)`
 /// walk of the timeline answering every φ point at once.
-fn streaming(n: usize, sizes: &[u64], chunk: usize) -> (Vec<HitRatioPoint>, Vec<f64>) {
-    let min_sets = |l: u64| {
-        sizes
-            .iter()
-            .map(|&c| c / (l * u64::from(ASSOC)))
-            .min()
-            .unwrap()
-    };
-    let max_sets = |l: u64| {
-        sizes
-            .iter()
-            .map(|&c| c / (l * u64::from(ASSOC)))
-            .max()
-            .unwrap()
-    };
-    let mut sinks: Vec<FoldSink> = LINES
-        .iter()
-        .map(|&l| {
-            FoldSink::Sweep(
-                StackDistSweep::new_range(
-                    l,
-                    min_sets(l).trailing_zeros(),
-                    max_sets(l).trailing_zeros(),
-                    ASSOC,
-                    n as u64 / 5,
-                )
-                .expect("valid sweep"),
-            )
-        })
-        .collect();
+fn streaming(n: usize, chunk: usize) -> (Vec<HitRatioPoint>, Vec<f64>) {
+    let spec = grid(n);
+    let mut sinks: Vec<FoldSink> = spec.sweeps().into_iter().map(FoldSink::Sweep).collect();
     sinks.push(FoldSink::Timeline(MissTimelineBuilder::new(phi_cache())));
     let mut out = stream::broadcast(trace(n), chunk, sinks);
     let timeline: MissTimeline = out.pop().expect("timeline sink").into_timeline();
-    let sweeps: Vec<StackDistSweep> = out.into_iter().map(FoldOut::into_sweep).collect();
-    let grid = grid_from_sweeps(&sweeps, sizes);
+    let sim = Simulated::from_sweeps(out.into_iter().map(FoldOut::into_sweep).collect());
+    let grid = grid_points(&sim, &spec);
     let configs: Vec<CpuConfig> = phi_points()
         .iter()
         .map(|&(stall, beta, bus)| config(stall, beta, bus))
@@ -181,36 +143,8 @@ fn streaming(n: usize, sizes: &[u64], chunk: usize) -> (Vec<HitRatioPoint>, Vec<
 /// reuse-distance histogram fold — one generation pass feeding every
 /// sink a production suite run uses, at a trace length the
 /// materialise-then-scan baseline cannot hold in memory.
-fn streaming_large(n: usize, sizes: &[u64], chunk: usize) {
-    let min_sets = |l: u64| {
-        sizes
-            .iter()
-            .map(|&c| c / (l * u64::from(ASSOC)))
-            .min()
-            .unwrap()
-    };
-    let max_sets = |l: u64| {
-        sizes
-            .iter()
-            .map(|&c| c / (l * u64::from(ASSOC)))
-            .max()
-            .unwrap()
-    };
-    let mut sinks: Vec<FoldSink> = LINES
-        .iter()
-        .map(|&l| {
-            FoldSink::Sweep(
-                StackDistSweep::new_range(
-                    l,
-                    min_sets(l).trailing_zeros(),
-                    max_sets(l).trailing_zeros(),
-                    ASSOC,
-                    n as u64 / 5,
-                )
-                .expect("valid sweep"),
-            )
-        })
-        .collect();
+fn streaming_large(n: usize, chunk: usize) {
+    let mut sinks: Vec<FoldSink> = grid(n).sweeps().into_iter().map(FoldSink::Sweep).collect();
     sinks.push(FoldSink::Timeline(MissTimelineBuilder::new(phi_cache())));
     sinks.push(FoldSink::Hist(ReuseHistograms::new(
         8,
@@ -233,28 +167,27 @@ fn time_best(reps: u32, mut f: impl FnMut()) -> f64 {
 }
 
 fn stream_comparison(c: &mut Criterion) {
-    let sizes = sizes();
     let chunk = stream::chunk_instructions();
 
     // Correctness gate: the streaming pipeline must answer the exact
     // same design points before its speedup means anything.
-    let (base_grid, base_phis) = baseline(INSTRUCTIONS, &sizes);
-    let (stream_grid, stream_phis) = streaming(INSTRUCTIONS, &sizes, chunk);
+    let (base_grid, base_phis) = baseline(INSTRUCTIONS);
+    let (stream_grid, stream_phis) = streaming(INSTRUCTIONS, chunk);
     assert_eq!(base_grid, stream_grid, "grid points diverged");
     assert_eq!(base_phis, stream_phis, "φ points diverged");
 
     let baseline_secs = time_best(1, || {
-        std::hint::black_box(baseline(INSTRUCTIONS, &sizes));
+        std::hint::black_box(baseline(INSTRUCTIONS));
     });
     let streaming_secs = time_best(2, || {
-        std::hint::black_box(streaming(INSTRUCTIONS, &sizes, chunk));
+        std::hint::black_box(streaming(INSTRUCTIONS, chunk));
     });
     let large_streaming_secs = time_best(1, || {
-        streaming_large(LARGE_INSTRUCTIONS, &sizes, chunk);
+        streaming_large(LARGE_INSTRUCTIONS, chunk);
     });
 
     let result = StreamBenchResult {
-        grid_points: sizes.len() * LINES.len(),
+        grid_points: grid(INSTRUCTIONS).points(),
         phi_points: phi_points().len(),
         instructions: INSTRUCTIONS,
         chunk_instructions: chunk,
@@ -289,7 +222,7 @@ fn stream_comparison(c: &mut Criterion) {
     let small = INSTRUCTIONS / 25;
     let mut group = c.benchmark_group("streaming_pipeline");
     group.bench_function("chunked_fold_200k", |b| {
-        b.iter(|| streaming(small, &sizes, chunk));
+        b.iter(|| streaming(small, chunk));
     });
     group.finish();
 }

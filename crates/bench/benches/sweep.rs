@@ -2,27 +2,44 @@
 //! single-pass stack-distance sweep, on the Figure-6 grid (7 cache
 //! sizes × 5 line sizes, two-way) over a SPEC92 proxy trace.
 //!
-//! Besides the criterion timings, the run asserts the two paths produce
-//! identical points and records the wall-clock comparison in
-//! `BENCH_sweep.json` at the workspace root.
+//! The sweep side is the production path — `run_sweep`, one
+//! `grid::build_simulated` fold per workload. Besides the criterion
+//! timings, the run asserts the two paths produce identical points and
+//! records the wall-clock comparison in `BENCH_sweep.json` at the
+//! workspace root.
 
-use bench::sweep::SweepBenchResult;
+use bench::grid::GridSpec;
+use bench::sweep::{run_sweep, SweepBenchResult, SWEEP_SEED};
 use criterion::{criterion_group, criterion_main, Criterion};
-use simcache::explore::{hit_ratio_grid, hit_ratio_grid_replay};
+use simcache::explore::{hit_ratio_grid_replay, HitRatioPoint};
 use simtrace::workload::builtin;
-use simtrace::Instr;
+use simtrace::{Instr, WorkloadSpec};
 use std::time::Instant;
 
 const INSTRUCTIONS: usize = 120_000;
-const WARMUP: u64 = INSTRUCTIONS as u64 / 5;
-const LINES: [u64; 5] = [8, 16, 32, 64, 128];
 
-fn sizes() -> Vec<u64> {
-    (0..=6).map(|i| 1024u64 << i).collect()
+fn program() -> &'static WorkloadSpec {
+    builtin("nasa7").unwrap()
 }
 
 fn trace() -> impl Iterator<Item = Instr> {
-    builtin("nasa7").unwrap().compile(7).take(INSTRUCTIONS)
+    program().compile(SWEEP_SEED).take(INSTRUCTIONS)
+}
+
+fn sweep(grid: &GridSpec) -> Vec<HitRatioPoint> {
+    let mut results = run_sweep(&[program()], grid, INSTRUCTIONS);
+    results.pop().expect("one workload").points
+}
+
+fn replay(grid: &GridSpec) -> Vec<HitRatioPoint> {
+    hit_ratio_grid_replay(
+        &grid.cache_sizes,
+        &grid.line_sizes,
+        grid.assocs[0],
+        trace,
+        grid.warmup,
+    )
+    .expect("valid grid")
 }
 
 /// Best-of-`reps` wall-clock seconds for one run of `f`.
@@ -37,23 +54,25 @@ fn time_best(reps: u32, mut f: impl FnMut()) -> f64 {
 }
 
 fn grid_comparison(c: &mut Criterion) {
-    let sizes = sizes();
+    let grid = GridSpec::figure6(INSTRUCTIONS as u64 / 5);
 
     // Correctness gate: the sweep must be bit-identical to the replay
     // before its speedup means anything.
-    let fast = hit_ratio_grid(&sizes, &LINES, 2, trace, WARMUP).expect("valid grid");
-    let replay = hit_ratio_grid_replay(&sizes, &LINES, 2, trace, WARMUP).expect("valid grid");
-    assert_eq!(fast, replay, "sweep and replay grids diverged");
+    assert_eq!(
+        sweep(&grid),
+        replay(&grid),
+        "sweep and replay grids diverged"
+    );
 
     let replay_secs = time_best(3, || {
-        hit_ratio_grid_replay(&sizes, &LINES, 2, trace, WARMUP).expect("valid grid");
+        replay(&grid);
     });
     let sweep_secs = time_best(5, || {
-        hit_ratio_grid(&sizes, &LINES, 2, trace, WARMUP).expect("valid grid");
+        sweep(&grid);
     });
 
     let result = SweepBenchResult {
-        grid_points: sizes.len() * LINES.len(),
+        grid_points: grid.points(),
         instructions: INSTRUCTIONS,
         replay_secs,
         sweep_secs,
@@ -73,12 +92,8 @@ fn grid_comparison(c: &mut Criterion) {
     }
 
     let mut group = c.benchmark_group("figure6_grid");
-    group.bench_function("single_pass_sweep", |b| {
-        b.iter(|| hit_ratio_grid(&sizes, &LINES, 2, trace, WARMUP).expect("valid grid"));
-    });
-    group.bench_function("per_config_replay", |b| {
-        b.iter(|| hit_ratio_grid_replay(&sizes, &LINES, 2, trace, WARMUP).expect("valid grid"));
-    });
+    group.bench_function("single_pass_sweep", |b| b.iter(|| sweep(&grid)));
+    group.bench_function("per_config_replay", |b| b.iter(|| replay(&grid)));
     group.finish();
 }
 

@@ -15,9 +15,11 @@
 //!
 //! Wired into tier-1 as `./ci.sh stream`.
 
+use bench::grid::GridSpec;
 use bench::stream::{self, FoldOut, FoldSink};
+use bench::sweep::grid_points;
 use simcache::explore::{hit_ratio_grid_replay, HitRatioPoint};
-use simcache::stackdist::StackDistSweep;
+use simcache::Simulated;
 use simcpu::{Cpu, CpuConfig, MissTimeline, MissTimelineBuilder, StallFeature, TimelineCpu};
 use simmem::{BusWidth, MemoryTiming};
 use simtrace::workload::{builtin, CompiledTrace};
@@ -26,8 +28,6 @@ use std::process::ExitCode;
 
 const SEED: u64 = 7;
 const PROGRAM: &str = "nasa7";
-const LINES: [u64; 5] = [8, 16, 32, 64, 128];
-const ASSOC: u32 = 2;
 const BETAS: [u64; 3] = [4, 22, 50];
 
 /// The first `n` instructions of the smoke workload.
@@ -43,10 +43,6 @@ fn usage() -> ExitCode {
     ExitCode::from(2)
 }
 
-fn sizes() -> Vec<u64> {
-    (0..=6).map(|i| 1024u64 << i).collect()
-}
-
 fn phi_points() -> Vec<(StallFeature, u64)> {
     StallFeature::MEASURED
         .iter()
@@ -55,7 +51,7 @@ fn phi_points() -> Vec<(StallFeature, u64)> {
 }
 
 fn phi_cache() -> simcache::CacheConfig {
-    simcache::CacheConfig::new(8 * 1024, 32, ASSOC).expect("valid 8KB cache")
+    simcache::CacheConfig::new(8 * 1024, 32, 2).expect("valid 8KB cache")
 }
 
 fn config(stall: StallFeature, beta: u64) -> CpuConfig {
@@ -66,60 +62,14 @@ fn config(stall: StallFeature, beta: u64) -> CpuConfig {
     .with_stall(stall)
 }
 
-fn grid_from_sweeps(sweeps: &[StackDistSweep], sizes: &[u64]) -> Vec<HitRatioPoint> {
-    let mut points = Vec::with_capacity(sizes.len() * LINES.len());
-    for &cache_bytes in sizes {
-        for (li, &line_bytes) in LINES.iter().enumerate() {
-            let sets = cache_bytes / (line_bytes * u64::from(ASSOC));
-            let stats = sweeps[li].stats(sets.trailing_zeros(), ASSOC);
-            points.push(HitRatioPoint {
-                cache_bytes,
-                line_bytes,
-                hit_ratio: stats.hit_ratio(),
-                flush_ratio: stats.flush_ratio(),
-            });
-        }
-    }
-    points
-}
-
 /// One streamed pass: grid points from five sweep sinks, φ values from
 /// a timeline sink's `O(misses)` replays.
-fn streamed(n: usize, sizes: &[u64], chunk: usize) -> (Vec<HitRatioPoint>, Vec<f64>) {
-    let warmup = n as u64 / 5;
-    let min_sets = |l: u64| {
-        sizes
-            .iter()
-            .map(|&c| c / (l * u64::from(ASSOC)))
-            .min()
-            .unwrap()
-    };
-    let max_sets = |l: u64| {
-        sizes
-            .iter()
-            .map(|&c| c / (l * u64::from(ASSOC)))
-            .max()
-            .unwrap()
-    };
-    let mut sinks: Vec<FoldSink> = LINES
-        .iter()
-        .map(|&l| {
-            FoldSink::Sweep(
-                StackDistSweep::new_range(
-                    l,
-                    min_sets(l).trailing_zeros(),
-                    max_sets(l).trailing_zeros(),
-                    ASSOC,
-                    warmup,
-                )
-                .expect("valid sweep"),
-            )
-        })
-        .collect();
+fn streamed(n: usize, grid: &GridSpec, chunk: usize) -> (Vec<HitRatioPoint>, Vec<f64>) {
+    let mut sinks: Vec<FoldSink> = grid.sweeps().into_iter().map(FoldSink::Sweep).collect();
     sinks.push(FoldSink::Timeline(MissTimelineBuilder::new(phi_cache())));
     let mut out = stream::broadcast(trace(n), chunk, sinks);
     let timeline: MissTimeline = out.pop().expect("timeline sink").into_timeline();
-    let sweeps: Vec<StackDistSweep> = out.into_iter().map(FoldOut::into_sweep).collect();
+    let sim = Simulated::from_sweeps(out.into_iter().map(FoldOut::into_sweep).collect());
     let phis = phi_points()
         .iter()
         .map(|&(stall, beta)| {
@@ -129,7 +79,7 @@ fn streamed(n: usize, sizes: &[u64], chunk: usize) -> (Vec<HitRatioPoint>, Vec<f
                 .phi()
         })
         .collect();
-    (grid_from_sweeps(&sweeps, sizes), phis)
+    (grid_points(&sim, grid), phis)
 }
 
 fn main() -> ExitCode {
@@ -151,9 +101,9 @@ fn main() -> ExitCode {
         }
     }
 
-    let sizes = sizes();
+    let spec = GridSpec::figure6(instructions as u64 / 5);
     let chunk = stream::chunk_instructions();
-    let (grid, phis) = streamed(instructions, &sizes, chunk);
+    let (grid, phis) = streamed(instructions, &spec, chunk);
 
     // RSS gate first: the oracle pass below materialises the whole
     // trace on purpose and would swamp the high-water mark.
@@ -184,11 +134,11 @@ fn main() -> ExitCode {
     // Oracle gate: materialise-then-scan must agree byte for byte.
     let whole: Vec<Instr> = trace(instructions).collect();
     let oracle_grid = hit_ratio_grid_replay(
-        &sizes,
-        &LINES,
-        ASSOC,
+        &spec.cache_sizes,
+        &spec.line_sizes,
+        spec.assocs[0],
         || whole.iter().copied(),
-        instructions as u64 / 5,
+        spec.warmup,
     )
     .expect("valid grid");
     if grid != oracle_grid {

@@ -1,7 +1,7 @@
 //! Shared experiment plumbing.
 
 use simcache::CacheConfig;
-use simcpu::{Cpu, CpuConfig, MissTimeline, SimResult, StallFeature, TimelineCpu};
+use simcpu::{CpuConfig, MissTimeline, SimResult, StallFeature, TimelineCpu};
 use simmem::{BusWidth, MemoryTiming};
 use simtrace::workload::{builtins, WorkloadSpec};
 use std::path::PathBuf;
@@ -50,11 +50,15 @@ fn spec_config(stall: StallFeature, line_bytes: u64, bus_bytes: u64, beta_m: u64
 }
 
 /// Runs one SPEC92 proxy point through the miss-event timeline engine:
-/// the memoised trace is generated once, the cache is simulated once per
-/// (program, line size), and each timing point is an `O(misses)` replay
+/// the cache is simulated once per (program, line size) into a memoised
+/// timeline, and each timing point is an `O(misses)` replay
 /// bit-identical to the full simulation (`tests/timeline_oracle.rs`).
-/// Falls back to [`run_spec_oracle`] for configurations the timeline
-/// cannot replay exactly.
+///
+/// # Panics
+///
+/// Panics if the timeline cannot replay the configuration — the
+/// Figure-1 baseline has no instruction cache, L2, prefetch or wide
+/// issue, so it always can.
 pub fn run_spec(
     program: &WorkloadSpec,
     stall: StallFeature,
@@ -65,26 +69,9 @@ pub fn run_spec(
 ) -> SimResult {
     let cfg = spec_config(stall, line_bytes, bus_bytes, beta_m);
     let timeline = tracestore::workload_timeline(program, SPEC_SEED, instructions, &cfg.dcache);
-    match TimelineCpu::new(&timeline, cfg) {
-        Ok(replay) => replay.run(),
-        Err(_) => run_spec_oracle(program, stall, line_bytes, bus_bytes, beta_m, instructions),
-    }
-}
-
-/// Runs one SPEC92 proxy point through the full CPU simulation — the
-/// oracle path [`run_spec`] is asserted against, kept public for the
-/// `phi` criterion bench and any configuration the timeline rejects.
-pub fn run_spec_oracle(
-    program: &WorkloadSpec,
-    stall: StallFeature,
-    line_bytes: u64,
-    bus_bytes: u64,
-    beta_m: u64,
-    instructions: usize,
-) -> SimResult {
-    let cfg = spec_config(stall, line_bytes, bus_bytes, beta_m);
-    let trace = tracestore::workload_trace(program, SPEC_SEED, instructions);
-    Cpu::new(cfg).run(trace.iter().copied())
+    TimelineCpu::new(&timeline, cfg)
+        .expect("the timeline replays every Figure-1 configuration")
+        .run()
 }
 
 /// One (stall feature, β_m) point of a φ sweep.
@@ -107,25 +94,16 @@ pub fn phi_matrix(
     let timelines = crate::exec::parallel_map(builtins(), |p| {
         tracestore::workload_timeline(p, SPEC_SEED, instructions, &cache)
     });
-    let jobs: Vec<(usize, &WorkloadSpec, std::sync::Arc<MissTimeline>)> = points
+    let jobs: Vec<(PhiPoint, &MissTimeline)> = points
         .iter()
-        .enumerate()
-        .flat_map(|(i, _)| {
-            builtins()
-                .iter()
-                .zip(&timelines)
-                .map(move |(p, tl)| (i, p, std::sync::Arc::clone(tl)))
-        })
+        .flat_map(|&point| timelines.iter().map(move |tl| (point, &**tl)))
         .collect();
-    let phis = crate::exec::parallel_map(&jobs, |(i, program, timeline)| {
-        let (stall, beta_m) = points[*i];
+    let phis = crate::exec::parallel_map(&jobs, |&((stall, beta_m), timeline)| {
         let cfg = spec_config(stall, line_bytes, bus_bytes, beta_m);
-        match TimelineCpu::new(timeline, cfg) {
-            Ok(replay) => replay.run().phi(),
-            Err(_) => {
-                run_spec_oracle(program, stall, line_bytes, bus_bytes, beta_m, instructions).phi()
-            }
-        }
+        TimelineCpu::new(timeline, cfg)
+            .expect("the timeline replays every Figure-1 configuration")
+            .run()
+            .phi()
     });
     let per_point = builtins().len();
     phis.chunks(per_point)
@@ -165,6 +143,21 @@ pub fn average_alpha(line_bytes: u64, _bus_bytes: u64, _beta_m: u64, instruction
 #[cfg(test)]
 mod tests {
     use super::*;
+    use simcpu::Cpu;
+
+    /// One SPEC92 proxy point through the full CPU simulation — the
+    /// oracle [`run_spec`] is asserted against.
+    fn run_spec_oracle(
+        program: &WorkloadSpec,
+        stall: StallFeature,
+        line_bytes: u64,
+        bus_bytes: u64,
+        beta_m: u64,
+        instructions: usize,
+    ) -> SimResult {
+        let cfg = spec_config(stall, line_bytes, bus_bytes, beta_m);
+        Cpu::new(cfg).run(program.compile(SPEC_SEED).take(instructions))
+    }
 
     #[test]
     fn run_spec_produces_activity() {

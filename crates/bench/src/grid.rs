@@ -20,10 +20,9 @@
 
 use crate::registry::{ExpReport, Experiment, RunCtx};
 use crate::sweep::SWEEP_SEED;
-use crate::{stream, tracestore};
+use crate::tracestore;
 use report::{Artifact, Table};
 use simcache::hitratio::SET_CONFLICT_TOLERANCE;
-use simcache::stackdist::StackDistSweep;
 use simcache::{Analytic, HitRatioBackend, Simulated};
 use simtrace::workload::{builtins, WorkloadSpec};
 
@@ -33,36 +32,17 @@ use simtrace::workload::{builtins, WorkloadSpec};
 // historical paths.
 pub use tradeoff::api::{dense_best, DenseBest, DenseGrid, GridSpec, HIST_DISTANCE_CAP};
 
-/// Builds the simulated backend for one workload: one
-/// [`StackDistSweep`] per line size covering the grid's full set range,
-/// fed by the chunked [`stream`] pipeline (resident traces fold in
-/// place, cold ones stream without pinning).
+/// Builds the simulated backend for one workload: the grid's
+/// [sweeps](GridSpec::sweeps), folded by one streaming pass over the
+/// workload's trace at [`SWEEP_SEED`] ([`tracestore::fold_streaming`]).
+/// The only way the suite and the query API build a simulated grid.
 pub fn build_simulated(workload: &WorkloadSpec, spec: &GridSpec, instructions: usize) -> Simulated {
-    let chunk = stream::chunk_instructions();
-    let amax = *spec.assocs.iter().max().expect("grid has assocs");
-    let sinks: Vec<StackDistSweep> = spec
-        .line_sizes
-        .iter()
-        .map(|&line_bytes| {
-            StackDistSweep::new_range(
-                line_bytes,
-                spec.min_sets(line_bytes).trailing_zeros(),
-                spec.max_sets(line_bytes).trailing_zeros(),
-                amax,
-                spec.warmup,
-            )
-            .expect("valid grid line size")
-        })
-        .collect();
-    let folded = match tracestore::resident_workload_trace(workload, SWEEP_SEED, instructions) {
-        Some(trace) => stream::fold_slice(trace.instrs(), chunk, sinks),
-        None => stream::broadcast(
-            workload.compile(SWEEP_SEED).take(instructions),
-            chunk,
-            sinks,
-        ),
-    };
-    Simulated::from_sweeps(folded)
+    Simulated::from_sweeps(tracestore::fold_streaming(
+        workload,
+        SWEEP_SEED,
+        instructions,
+        spec.sweeps(),
+    ))
 }
 
 /// Builds the analytic backend for one workload from the memoised

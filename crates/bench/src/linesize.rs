@@ -9,9 +9,10 @@
 //!    substrate and model.
 
 use crate::common::proxy;
+use crate::grid::{build_simulated, GridSpec};
 use crate::registry::{ExpReport, Experiment, RunCtx};
 use report::{Artifact, Table};
-use simcache::explore::hit_ratio_grid;
+use simcache::CacheConfig;
 use simtrace::WorkloadSpec;
 use tradeoff::linesize::{
     miss_count_ratio, optimal_line_eq19, optimal_line_smith, required_hit_gain, FillTiming,
@@ -56,24 +57,26 @@ pub fn simulated_selection(
     instructions: usize,
     timing: &FillTiming,
 ) -> Result<(Vec<LineCandidate>, f64, f64), String> {
-    let lines = [8u64, 16, 32, 64, 128];
-    // The trace comes from the shared store at the sweep seed, so this
-    // experiment and the design-space sweep share one materialisation.
-    let trace = crate::tracestore::workload_trace(program, crate::sweep::SWEEP_SEED, instructions);
-    let points = hit_ratio_grid(
-        &[cache_bytes],
-        &lines,
-        2,
-        || trace.iter().copied(),
-        instructions as u64 / 5,
-    )
-    .map_err(|e| e.to_string())?;
-    let candidates: Vec<LineCandidate> = points
+    let grid = GridSpec {
+        cache_sizes: vec![cache_bytes],
+        line_sizes: vec![8, 16, 32, 64, 128],
+        assocs: vec![2],
+        warmup: instructions as u64 / 5,
+    };
+    let cfgs = grid
+        .line_sizes
         .iter()
-        .map(|p| {
+        .map(|&line_bytes| CacheConfig::new(cache_bytes, line_bytes, 2))
+        .collect::<Result<Vec<_>, _>>()
+        .map_err(|e| e.to_string())?;
+    let sim = build_simulated(program, &grid, instructions);
+    let candidates: Vec<LineCandidate> = cfgs
+        .iter()
+        .map(|cfg| {
+            let stats = sim.stats(cfg).map_err(|e| e.to_string())?;
             Ok(LineCandidate {
-                line_bytes: p.line_bytes as f64,
-                hit_ratio: HitRatio::new(p.hit_ratio).map_err(|e| e.to_string())?,
+                line_bytes: cfg.line_bytes() as f64,
+                hit_ratio: HitRatio::new(stats.hit_ratio()).map_err(|e| e.to_string())?,
             })
         })
         .collect::<Result<_, String>>()?;

@@ -14,7 +14,7 @@
 use crate::common::figure1_cache;
 use crate::registry::{ExpReport, Experiment, RunCtx};
 use report::Table;
-use simcpu::{Cpu, CpuConfig, SimResult, StallFeature};
+use simcpu::{CpuConfig, MissTimeline, StallFeature};
 use simmem::{BusWidth, MemoryTiming};
 use simtrace::workload::{builtins, WorkloadSpec};
 
@@ -31,13 +31,18 @@ pub struct DistanceProfile {
     pub phi_bl: f64,
 }
 
-fn simulate(program: &WorkloadSpec, stall: StallFeature, beta: u64, n: usize) -> SimResult {
-    let cfg = CpuConfig::baseline(
+fn config(stall: StallFeature, beta: u64) -> CpuConfig {
+    CpuConfig::baseline(
         figure1_cache(32),
         MemoryTiming::new(BusWidth::new(4).expect("valid bus"), beta),
     )
-    .with_stall(stall);
-    Cpu::new(cfg).run(program.compile(0x0D15).take(n))
+    .with_stall(stall)
+}
+
+/// The program's miss timeline at the profile cache: one cache pass,
+/// replayed under every stalling feature.
+fn timeline(program: &WorkloadSpec, n: usize) -> MissTimeline {
+    MissTimeline::extract(figure1_cache(32), program.compile(0x0D15).take(n))
 }
 
 /// Weighted mean of the histogram's bucket midpoints — a tie-free
@@ -59,8 +64,9 @@ pub fn run(beta: u64, instructions: usize) -> Vec<DistanceProfile> {
     builtins()
         .iter()
         .map(|program| {
-            let fs = simulate(program, StallFeature::FullStall, beta, instructions);
-            let bl = simulate(program, StallFeature::BusLocked, beta, instructions);
+            let timeline = timeline(program, instructions);
+            let fs = timeline.replay(&config(StallFeature::FullStall, beta));
+            let bl = timeline.replay(&config(StallFeature::BusLocked, beta));
             DistanceProfile {
                 program,
                 hist: fs.miss_distance_hist,
@@ -130,7 +136,7 @@ mod tests {
 
     #[test]
     fn histogram_counts_fills_minus_one() {
-        let fs = simulate(proxy("ear"), StallFeature::FullStall, 8, 20_000);
+        let fs = timeline(proxy("ear"), 20_000).replay(&config(StallFeature::FullStall, 8));
         let total: u64 = fs.miss_distance_hist.iter().sum();
         assert_eq!(total, fs.dcache.fills - 1);
     }

@@ -107,9 +107,13 @@ pub mod traces {
     /// Timelines of the six builtin specs at the 8-byte-line variant of
     /// the Figure-1 cache.
     pub const SPEC_L8: &str = "spec@l8";
-    /// Raw compiled traces of the six builtin specs at the sweep seed
-    /// ([`crate::sweep::SWEEP_SEED`]), shared by the design-space sweep
-    /// and the line-size experiment.
+    /// The six builtin specs at the sweep seed
+    /// ([`crate::sweep::SWEEP_SEED`]). The sweep, grid and line-size
+    /// experiments share no memo entry: `grid::build_simulated` streams
+    /// each trace into its sweeps, and only `grid` reads the reuse
+    /// histograms memoised at this seed. The key serialises the three,
+    /// which keeps `sweep` and `grid` — the suite's two heaviest folds —
+    /// from running at the same time.
     pub const SWEEP7: &str = "sweep@7";
 }
 

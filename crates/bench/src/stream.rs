@@ -11,7 +11,8 @@
 //! the identical ordered chunk sequence, so the folded results are
 //! **bit-identical** to the monolithic whole-trace path — asserted by
 //! `tests/streaming_oracle.rs` — and peak trace-resident memory is a
-//! few chunks, not the trace length.
+//! few chunks, not the trace length. [`broadcast`] is the only fold;
+//! workload folds reach it through `tracestore::fold_streaming`.
 //!
 //! The chunk size comes from `REPRO_STREAM_CHUNK` (instructions,
 //! default [`simtrace::chunk::DEFAULT_CHUNK_INSTRUCTIONS`], read once
@@ -272,48 +273,6 @@ where
     })
 }
 
-/// Folds an already-materialised trace through every sink in
-/// `chunk_len` blocks — the warm-store fast path: no copy, no
-/// generation, same chunk boundaries (hence bit-identical folds) as
-/// [`broadcast`] over the equivalent generator, and the same
-/// deadline checks at every chunk boundary.
-pub fn fold_slice<S: ChunkSink>(data: &[Instr], chunk_len: usize, sinks: Vec<S>) -> Vec<S::Out> {
-    assert!(chunk_len > 0, "chunk length must be at least 1");
-    if exec::worker_count(sinks.len()) <= 1 || sinks.len() <= 1 {
-        let mut sinks = sinks;
-        for chunk in data.chunks(chunk_len) {
-            cancel::check();
-            for sink in &mut sinks {
-                sink.consume(chunk);
-            }
-        }
-        return sinks.into_iter().map(ChunkSink::finish).collect();
-    }
-    let exp = fault::current();
-    let deadline = cancel::deadline();
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = sinks
-            .into_iter()
-            .map(|mut sink| {
-                let exp = exp.clone();
-                scope.spawn(move || {
-                    let _scope = fault::enter_shared(exp);
-                    let _deadline = cancel::enter(deadline);
-                    for chunk in data.chunks(chunk_len) {
-                        cancel::check();
-                        sink.consume(chunk);
-                    }
-                    sink.finish()
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
-            .collect()
-    })
-}
-
 /// Timing comparison between the materialise-then-scan baseline and the
 /// streaming chunked pipeline at a paper-scale trace length, as
 /// recorded in `BENCH_stream.json` by the `stream` benchmark.
@@ -471,16 +430,6 @@ mod tests {
         }
     }
 
-    #[test]
-    fn fold_slice_matches_broadcast() {
-        let data: Vec<Instr> = source().collect();
-        let via_slice = fold_slice(&data, 999, vec![sweep_sink()]);
-        let via_stream = broadcast(source(), 999, vec![sweep_sink()]);
-        for k in 0..=6 {
-            assert_eq!(via_slice[0].stats(k, 2), via_stream[0].stats(k, 2));
-        }
-    }
-
     /// A sink that counts chunks and takes 2 ms per chunk.
     struct SlowSink<'a>(&'a std::sync::atomic::AtomicUsize);
 
@@ -497,28 +446,20 @@ mod tests {
     fn the_callers_deadline_stops_the_consumers() {
         use std::sync::atomic::{AtomicUsize, Ordering};
         use std::time::{Duration, Instant};
-        // 500 chunks × 2 ms per sink: a full second of folding. With no
-        // producer, only the consumers' own checks can stop it early.
-        let data: Vec<Instr> = source().take(5_000).collect();
+        // 500 chunks × 2 ms per sink: a full second of folding.
         let consumed = AtomicUsize::new(0);
         let started = Instant::now();
         let payload = std::panic::catch_unwind(|| {
             let _deadline = cancel::enter(Some(started + Duration::from_millis(30)));
-            fold_slice(&data, 10, vec![SlowSink(&consumed), SlowSink(&consumed)])
-        })
-        .expect_err("the deadline must cancel the fold");
-        assert!(payload.is::<cancel::Cancelled>());
-        assert!(consumed.load(Ordering::Relaxed) < 2 * 500);
-        assert!(started.elapsed() < Duration::from_millis(500));
-
-        // The generator-fed pipeline stops too.
-        let started = Instant::now();
-        let payload = std::panic::catch_unwind(|| {
-            let _deadline = cancel::enter(Some(started + Duration::from_millis(30)));
-            broadcast(source(), 10, vec![SlowSink(&consumed), SlowSink(&consumed)])
+            broadcast(
+                source().take(5_000),
+                10,
+                vec![SlowSink(&consumed), SlowSink(&consumed)],
+            )
         })
         .expect_err("the deadline must cancel the pipeline");
         assert!(payload.is::<cancel::Cancelled>());
+        assert!(consumed.load(Ordering::Relaxed) < 2 * 500);
         assert!(started.elapsed() < Duration::from_millis(500));
     }
 

@@ -3,17 +3,17 @@
 //! The Figure-6-style question — "how does the hit ratio move across
 //! the whole (cache size × line size) grid for each workload?" — used
 //! to cost one full trace replay per grid point. The sweep engine
-//! answers it with one [`StackDistSweep`] pass per line size
-//! (`O(|lines| · N)` instead of `O(|sizes| · |lines| · N)`), fed by the
-//! chunked [`stream`] pipeline: the trace is generated (or folded from
-//! the store) in bounded blocks and broadcast to every line-size sink,
-//! so the sweep runs paper-scale traces without paper-scale memory.
+//! answers it with one [`StackDistSweep`](simcache::stackdist::StackDistSweep)
+//! pass per line size (`O(|lines| · N)` instead of
+//! `O(|sizes| · |lines| · N)`): [`grid::build_simulated`] streams the
+//! trace in bounded chunks to every line-size sink, so the sweep runs
+//! paper-scale traces without paper-scale memory.
 
+use crate::grid::{self, GridSpec};
 use crate::registry::{ExpReport, Experiment, RunCtx};
-use crate::stream;
 use report::{Artifact, Table};
 use simcache::explore::HitRatioPoint;
-use simcache::stackdist::StackDistSweep;
+use simcache::{CacheConfig, Simulated};
 use simtrace::workload::{builtins, WorkloadSpec};
 use smithval::TableModel;
 use std::path::Path;
@@ -22,57 +22,9 @@ use std::path::Path;
 /// numbers are directly comparable to `linesize.csv`.
 pub const SWEEP_SEED: u64 = 7;
 
-/// The (cache size × line size) grid one sweep covers.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SweepGrid {
-    /// Cache capacities in bytes (powers of two).
-    pub cache_sizes: Vec<u64>,
-    /// Line sizes in bytes (powers of two).
-    pub line_sizes: Vec<u64>,
-    /// Fixed associativity.
-    pub assoc: u32,
-    /// Instructions excluded from statistics.
-    pub warmup: u64,
-}
-
-impl SweepGrid {
-    /// The Figure-6-flavoured default grid: 1 KB – 64 KB, 8 B – 128 B
-    /// lines, two-way.
-    pub fn figure6(warmup: u64) -> Self {
-        SweepGrid {
-            cache_sizes: (0..=6).map(|i| 1024u64 << i).collect(),
-            line_sizes: vec![8, 16, 32, 64, 128],
-            assoc: 2,
-            warmup,
-        }
-    }
-
-    /// Grid points per workload.
-    pub fn points(&self) -> usize {
-        self.cache_sizes.len() * self.line_sizes.len()
-    }
-
-    /// Smallest set count any configuration of this grid needs at `line_bytes`.
-    fn min_sets(&self, line_bytes: u64) -> u64 {
-        self.cache_sizes
-            .iter()
-            .map(|&c| c / (line_bytes * u64::from(self.assoc)))
-            .min()
-            .expect("grid has cache sizes")
-    }
-
-    /// Largest set count any configuration of this grid needs at `line_bytes`.
-    fn max_sets(&self, line_bytes: u64) -> u64 {
-        self.cache_sizes
-            .iter()
-            .map(|&c| c / (line_bytes * u64::from(self.assoc)))
-            .max()
-            .expect("grid has cache sizes")
-    }
-}
-
-/// One workload's measured grid, points in (cache size, line size)
-/// order like [`simcache::explore::hit_ratio_grid`].
+/// One workload's measured grid, one point per (cache size, line size,
+/// associativity) in that order — for a one-associativity grid the
+/// order of [`simcache::explore::hit_ratio_grid_replay`].
 #[derive(Debug, Clone)]
 pub struct WorkloadSweep {
     /// The workload.
@@ -81,70 +33,51 @@ pub struct WorkloadSweep {
     pub points: Vec<HitRatioPoint>,
 }
 
-/// Sweeps the grid for every workload, streaming: each workload's trace
-/// is chunked ([`stream`]) into one [`StackDistSweep`] sink per line
-/// size — already-materialised traces are folded in place
-/// ([`stream::fold_slice`]), cold ones run the generate→fold pipeline
-/// ([`stream::broadcast`]) without ever pinning the full trace, so peak
-/// trace-resident memory is a few `REPRO_STREAM_CHUNK` blocks no matter
-/// how long the trace is.
+/// Sweeps the grid for every workload: one [`grid::build_simulated`]
+/// fold per workload, read back by [`grid_points`].
 ///
 /// # Panics
 ///
 /// Panics if a grid combination is not a valid cache geometry.
 pub fn run_sweep(
     programs: &[&'static WorkloadSpec],
-    grid: &SweepGrid,
+    grid: &GridSpec,
     instructions: usize,
 ) -> Vec<WorkloadSweep> {
-    let chunk = stream::chunk_instructions();
-    let sweeps: Vec<Vec<StackDistSweep>> = programs
-        .iter()
-        .map(|&program| {
-            let sinks: Vec<StackDistSweep> = grid
-                .line_sizes
-                .iter()
-                .map(|&line_bytes| {
-                    StackDistSweep::new_range(
-                        line_bytes,
-                        grid.min_sets(line_bytes).trailing_zeros(),
-                        grid.max_sets(line_bytes).trailing_zeros(),
-                        grid.assoc,
-                        grid.warmup,
-                    )
-                    .expect("valid grid line size")
-                })
-                .collect();
-            match crate::tracestore::resident_workload_trace(program, SWEEP_SEED, instructions) {
-                Some(trace) => stream::fold_slice(trace.instrs(), chunk, sinks),
-                None => {
-                    stream::broadcast(program.compile(SWEEP_SEED).take(instructions), chunk, sinks)
-                }
-            }
-        })
-        .collect();
-
     programs
         .iter()
-        .enumerate()
-        .map(|(pi, &program)| {
-            let mut points = Vec::with_capacity(grid.points());
-            for &cache_bytes in &grid.cache_sizes {
-                for (li, &line_bytes) in grid.line_sizes.iter().enumerate() {
-                    let sweep = &sweeps[pi][li];
-                    let sets = cache_bytes / (line_bytes * u64::from(grid.assoc));
-                    let stats = sweep.stats(sets.trailing_zeros(), grid.assoc);
-                    points.push(HitRatioPoint {
-                        cache_bytes,
-                        line_bytes,
-                        hit_ratio: stats.hit_ratio(),
-                        flush_ratio: stats.flush_ratio(),
-                    });
-                }
-            }
-            WorkloadSweep { program, points }
+        .map(|&program| WorkloadSweep {
+            program,
+            points: grid_points(&grid::build_simulated(program, grid, instructions), grid),
         })
         .collect()
+}
+
+/// Every point of `grid` read off a simulated backend that covers it,
+/// in (cache size, line size, associativity) order.
+///
+/// # Panics
+///
+/// Panics if a grid combination is not a valid cache geometry or `sim`
+/// does not cover it.
+pub fn grid_points(sim: &Simulated, grid: &GridSpec) -> Vec<HitRatioPoint> {
+    let mut points = Vec::with_capacity(grid.points());
+    for &cache_bytes in &grid.cache_sizes {
+        for &line_bytes in &grid.line_sizes {
+            for &assoc in &grid.assocs {
+                let cfg =
+                    CacheConfig::new(cache_bytes, line_bytes, assoc).expect("valid grid geometry");
+                let stats = sim.stats(&cfg).expect("grid covered by its sweeps");
+                points.push(HitRatioPoint {
+                    cache_bytes,
+                    line_bytes,
+                    hit_ratio: stats.hit_ratio(),
+                    flush_ratio: stats.flush_ratio(),
+                });
+            }
+        }
+    }
+    points
 }
 
 /// Converts one workload's measured points at `cache_bytes` into a
@@ -178,7 +111,7 @@ pub fn best_line(sweep: &WorkloadSweep, cache_bytes: u64) -> Option<u64> {
 }
 
 /// Renders the sweep as a best-line-per-capacity table.
-pub fn render(results: &[WorkloadSweep], grid: &SweepGrid) -> String {
+pub fn render(results: &[WorkloadSweep], grid: &GridSpec) -> String {
     let mut header = vec!["program".to_string()];
     header.extend(
         grid.cache_sizes
@@ -282,7 +215,7 @@ impl Experiment for Exp {
     }
     fn run(&self, ctx: &RunCtx) -> ExpReport {
         let instructions = ctx.instructions;
-        let grid = SweepGrid::figure6(instructions as u64 / 5);
+        let grid = GridSpec::figure6(instructions as u64 / 5);
         let all: Vec<_> = builtins().iter().collect();
         let results = run_sweep(&all, &grid, instructions);
         let mut out = render(&results, &grid);
@@ -354,30 +287,39 @@ mod tests {
     use crate::common::proxy;
     use simcache::explore::hit_ratio_grid_replay;
 
-    fn small_grid() -> SweepGrid {
-        SweepGrid {
+    fn small_grid() -> GridSpec {
+        GridSpec {
             cache_sizes: vec![1024, 4096],
             line_sizes: vec![16, 32],
-            assoc: 2,
+            assocs: vec![2],
             warmup: 1_000,
         }
     }
 
     #[test]
     fn sweep_matches_per_config_replay_exactly() {
-        let grid = small_grid();
         let n = 8_000;
-        let results = run_sweep(&[proxy("ear"), proxy("nasa7")], &grid, n);
-        for ws in &results {
-            let replay = hit_ratio_grid_replay(
-                &grid.cache_sizes,
-                &grid.line_sizes,
-                grid.assoc,
-                || ws.program.compile(SWEEP_SEED).take(n),
-                grid.warmup,
-            )
-            .unwrap();
-            assert_eq!(ws.points, replay, "{}", ws.program);
+        // The small grid, and the line-size experiment's shape: one
+        // 8 KiB capacity, lines 8–128 B, two-way.
+        let linesize = GridSpec {
+            cache_sizes: vec![8 * 1024],
+            line_sizes: vec![8, 16, 32, 64, 128],
+            assocs: vec![2],
+            warmup: n as u64 / 5,
+        };
+        for grid in [small_grid(), linesize] {
+            let results = run_sweep(&[proxy("ear"), proxy("nasa7")], &grid, n);
+            for ws in &results {
+                let replay = hit_ratio_grid_replay(
+                    &grid.cache_sizes,
+                    &grid.line_sizes,
+                    grid.assocs[0],
+                    || ws.program.compile(SWEEP_SEED).take(n),
+                    grid.warmup,
+                )
+                .unwrap();
+                assert_eq!(ws.points, replay, "{} {grid:?}", ws.program);
+            }
         }
     }
 
@@ -434,7 +376,7 @@ mod tests {
     #[test]
     fn measured_model_bridges_into_smithval() {
         use smithval::MissRatioModel;
-        let grid = SweepGrid::figure6(500);
+        let grid = GridSpec::figure6(500);
         let results = run_sweep(&[proxy("ear")], &grid, 4_000);
         let model = measured_model(&results[0], 16 * 1024).expect("16 KB row exists");
         assert_eq!(model.points().len(), grid.line_sizes.len());
@@ -462,9 +404,18 @@ mod tests {
 
     #[test]
     fn figure6_grid_shape() {
-        let g = SweepGrid::figure6(0);
+        let g = GridSpec::figure6(0);
         assert_eq!(g.cache_sizes.first(), Some(&1024));
         assert_eq!(g.cache_sizes.last(), Some(&(64 * 1024)));
         assert_eq!(g.points(), 35);
+        let comparison = GridSpec::comparison(0);
+        assert_eq!(comparison.assocs, [1, 2, 4]);
+        assert_eq!(
+            GridSpec {
+                assocs: vec![2],
+                ..comparison
+            },
+            g
+        );
     }
 }

@@ -31,11 +31,13 @@
 //!
 //! Extraction always runs outside the memo lock, under the key's gate
 //! claim, so a fault or a cancelled deadline mid-extraction memoises
-//! nothing and poisons nothing. Timelines and histograms are extracted
-//! *streamingly*: a cold lookup folds the chunked generator straight
-//! into its builder without materialising the trace, keeping at most
-//! one chunk of instructions resident (`REPRO_STREAM_CHUNK`, see
-//! `DESIGN.md` §12). Only [`workload_trace`] pins full traces.
+//! nothing and poisons nothing. Every fold of a workload — timelines,
+//! histograms, and the simulated grids `grid::build_simulated` builds —
+//! goes through [`fold_streaming`], which generates the trace chunk by
+//! chunk straight into the sinks without materialising it, keeping a
+//! few chunks of instructions resident (`REPRO_STREAM_CHUNK`, see
+//! `DESIGN.md` §12). Only [`workload_trace`] pins full traces, and no
+//! fold reads them.
 
 use crate::error::lock_recovering;
 use crate::fault::{self, Site};
@@ -537,15 +539,6 @@ pub fn resident_entries() -> Vec<(String, u64, u64)> {
     listed
 }
 
-/// A `len`-instruction prefix view of an already-materialised trace, if
-/// the store holds one — the zero-cost path streaming folds probe
-/// before regenerating. Counts a trace hit (and refreshes the LRU
-/// stamp) only when it returns a handle.
-pub fn resident_workload_trace(spec: &WorkloadSpec, seed: u64, len: usize) -> Option<TraceHandle> {
-    let data = traces().peek(&(spec.id(), seed), |t| t.instrs.len() >= len)?;
-    Some(TraceHandle { data, len })
-}
-
 /// The first `len` instructions of a workload, materialised at most
 /// once per (workload identity, seed) process-wide. A lookup longer
 /// than the resident backing regenerates and replaces it.
@@ -561,24 +554,24 @@ pub fn workload_trace(spec: &WorkloadSpec, seed: u64, len: usize) -> TraceHandle
     TraceHandle { data, len }
 }
 
-/// Folds the workload's trace through `sink` without pinning it: an
-/// already-materialised trace is folded in place, a cold one is
-/// generated chunk by chunk (at most one `REPRO_STREAM_CHUNK` block
-/// resident at a time). Each chunk boundary checks the cooperative
-/// deadline, so a cancelled extraction unwinds before anything is
-/// memoised.
-fn fold_streaming<S: stream::ChunkSink>(
+/// Folds the first `len` instructions of the workload through every
+/// sink without pinning the trace: it is generated chunk by chunk and
+/// broadcast to the sinks ([`stream::broadcast`]), at most a few
+/// `REPRO_STREAM_CHUNK` blocks resident at a time. Each chunk boundary
+/// checks the cooperative deadline, so a cancelled extraction unwinds
+/// before anything is memoised. Every workload fold — timelines,
+/// histograms and simulated grids — goes through here.
+pub fn fold_streaming<S: stream::ChunkSink>(
     spec: &WorkloadSpec,
     seed: u64,
     len: usize,
-    sink: S,
-) -> S::Out {
-    let chunk = stream::chunk_instructions();
-    let folded = match resident_workload_trace(spec, seed, len) {
-        Some(trace) => stream::fold_slice(&trace, chunk, vec![sink]),
-        None => stream::broadcast(spec.compile(seed).take(len), chunk, vec![sink]),
-    };
-    folded.into_iter().next().expect("one sink, one fold")
+    sinks: Vec<S>,
+) -> Vec<S::Out> {
+    stream::broadcast(
+        spec.compile(seed).take(len),
+        stream::chunk_instructions(),
+        sinks,
+    )
 }
 
 /// The [`MissTimeline`] of a workload prefix under `cache`, extracted
@@ -594,7 +587,12 @@ pub fn workload_timeline(
     timelines().get(
         (spec.id(), seed, len, *cache),
         |_| true,
-        || fold_streaming(spec, seed, len, MissTimelineBuilder::new(*cache)),
+        || {
+            let sink = MissTimelineBuilder::new(*cache);
+            fold_streaming(spec, seed, len, vec![sink])
+                .pop()
+                .expect("one fold")
+        },
     )
 }
 
@@ -626,7 +624,9 @@ pub fn workload_histograms(
         |_| true,
         || {
             let hists = ReuseHistograms::new(min_line, max_line, max_distance, warmup);
-            fold_streaming(spec, seed, len, hists)
+            fold_streaming(spec, seed, len, vec![hists])
+                .pop()
+                .expect("one fold")
         },
     )
 }
@@ -837,20 +837,6 @@ mod tests {
     }
 
     #[test]
-    fn resident_probe_sees_only_materialised_prefixes() {
-        let seed = 0x5EED_0001; // unique to this test: no cross-test interference
-        let program = proxy("wave5");
-        assert!(resident_workload_trace(program, seed, 100).is_none());
-        let full = workload_trace(program, seed, 2_000);
-        let probe = resident_workload_trace(program, seed, 1_500).expect("prefix is resident");
-        assert_eq!(&full.instrs()[..1_500], probe.instrs());
-        assert!(
-            resident_workload_trace(program, seed, 3_000).is_none(),
-            "longer than materialised must miss"
-        );
-    }
-
-    #[test]
     fn byte_accounting_tracks_materialisations() {
         let seed = 0x5EED_0002;
         let _t = workload_trace(proxy("hydro2d"), seed, 1_000);
@@ -891,17 +877,20 @@ mod tests {
 
     #[test]
     fn streaming_extraction_matches_whole_trace_extraction() {
-        let cache = figure1_cache(32);
         let seed = 0x5EED_0003;
         let spec = proxy("swm256");
-        let extract = || fold_streaming(spec, seed, 6_000, MissTimelineBuilder::new(cache));
-        // Cold path: nothing resident, generation is chunked.
-        let cold = extract();
-        let direct = MissTimeline::extract(cache, proxy("swm256").compile(seed).take(6_000));
-        assert_eq!(cold, direct);
-        // Warm path: folds the resident slice instead.
-        let _pin = workload_trace(proxy("swm256"), seed, 6_000);
-        assert_eq!(extract(), direct);
+        let caches = [figure1_cache(32), figure1_cache(8)];
+        let sinks = caches
+            .iter()
+            .map(|&c| MissTimelineBuilder::new(c))
+            .collect();
+        let folded = fold_streaming(spec, seed, 6_000, sinks);
+        for (timeline, &cache) in folded.iter().zip(&caches) {
+            let direct = MissTimeline::extract(cache, spec.compile(seed).take(6_000));
+            assert_eq!(*timeline, direct);
+        }
+        // The fold streams: it leaves no materialised trace behind.
+        assert!(!resident_entries().iter().any(|(_, s, _)| *s == seed));
     }
 
     #[test]

@@ -6,16 +6,14 @@
 //! configurations, with an optional warm-up period excluded from the
 //! statistics so cold-start misses do not bias small sweeps.
 //!
-//! [`hit_ratio_grid`] answers the whole grid from one
+//! Both replay every configuration through a live [`Cache`]: they are
+//! the oracles the production grid engine — one
 //! [`StackDistSweep`](crate::stackdist::StackDistSweep) pass per line
-//! size — `O(|lines| · N)` instead of the naive
-//! `O(|sizes| · |lines| · N)` — run in parallel across line sizes. The
-//! per-configuration replay survives as [`hit_ratio_grid_replay`], the
-//! reference implementation the sweep is validated against.
+//! size, wrapped as a [`Simulated`](crate::Simulated) backend — is
+//! validated and benchmarked against.
 
 use crate::cache::Cache;
 use crate::config::{CacheConfig, ConfigError};
-use crate::stackdist::StackDistSweep;
 use crate::stats::CacheStats;
 use serde::{Deserialize, Serialize};
 use simtrace::Instr;
@@ -57,29 +55,25 @@ pub fn measure_dcache(
 }
 
 /// Measures the hit ratio for every `(cache_bytes, line_bytes)` pair in
-/// the grid from a single trace pass per line size.
+/// the grid by replaying the trace once per configuration through a
+/// live [`Cache`], points in (cache size, line size) order.
 ///
-/// The trace produced by `make_trace` is materialised once and shared;
-/// each line size gets one generalized stack simulation
-/// ([`StackDistSweep`]) that answers every cache size exactly, and the
-/// per-line sweeps run on their own threads. The result is
-/// bit-identical to [`hit_ratio_grid_replay`] — the grid is LRU +
-/// write-back + write-allocate throughout, which is exactly the fast
-/// path's domain.
+/// Costs `O(|sizes| · |lines| · N)` trace work against the
+/// `O(|lines| · N)` of one [`StackDistSweep`](crate::stackdist::StackDistSweep)
+/// per line size; kept as the oracle the single-pass sweeps are
+/// validated and benchmarked against.
 ///
 /// # Errors
 ///
-/// Returns the first [`ConfigError`] produced by an invalid combination
-/// (for example a line larger than a way), in the same grid order as
-/// the replay path.
+/// Returns the first [`ConfigError`] produced by an invalid combination.
 ///
 /// # Example
 ///
 /// ```
-/// use simcache::explore::hit_ratio_grid;
+/// use simcache::explore::hit_ratio_grid_replay;
 /// use simtrace::gen::{PatternTrace, TraceShape, WorkingSet};
 ///
-/// let points = hit_ratio_grid(
+/// let points = hit_ratio_grid_replay(
 ///     &[4096, 8192],
 ///     &[16, 32],
 ///     2,
@@ -92,94 +86,6 @@ pub fn measure_dcache(
 /// assert!(points[2].hit_ratio >= points[0].hit_ratio - 0.01);
 /// # Ok::<(), simcache::ConfigError>(())
 /// ```
-pub fn hit_ratio_grid<T, F>(
-    cache_sizes: &[u64],
-    line_sizes: &[u64],
-    assoc: u32,
-    mut make_trace: F,
-    warmup: u64,
-) -> Result<Vec<HitRatioPoint>, ConfigError>
-where
-    T: IntoIterator<Item = Instr>,
-    F: FnMut() -> T,
-{
-    // Validate the whole grid up front so an invalid combination
-    // surfaces as the same first error the replay path would report.
-    for &cache_bytes in cache_sizes {
-        for &line_bytes in line_sizes {
-            CacheConfig::new(cache_bytes, line_bytes, assoc)?;
-        }
-    }
-    if cache_sizes.is_empty() || line_sizes.is_empty() {
-        return Ok(Vec::new());
-    }
-    if assoc >= u32::from(u16::MAX) {
-        // Wider than the sweep's 16-bit dirty thresholds; replay instead.
-        return hit_ratio_grid_replay(cache_sizes, line_sizes, assoc, make_trace, warmup);
-    }
-
-    // The trace does not depend on the configuration: materialise it
-    // once and share it read-only across the sweeps.
-    let trace: Vec<Instr> = make_trace().into_iter().collect();
-
-    // One single-pass sweep per line size covers every cache size; the
-    // line sizes are independent, so fan them out across threads.
-    let sweeps: Vec<StackDistSweep> = std::thread::scope(|s| {
-        let handles: Vec<_> = line_sizes
-            .iter()
-            .map(|&line_bytes| {
-                let trace = &trace;
-                let sets_of = |c: u64| c / (line_bytes * u64::from(assoc));
-                let min_sets = cache_sizes.iter().map(|&c| sets_of(c)).min().unwrap();
-                let max_sets = cache_sizes.iter().map(|&c| sets_of(c)).max().unwrap();
-                s.spawn(move || {
-                    let mut sweep = StackDistSweep::new_range(
-                        line_bytes,
-                        min_sets.trailing_zeros(),
-                        max_sets.trailing_zeros(),
-                        assoc,
-                        warmup,
-                    )
-                    .expect("grid validated above");
-                    for instr in trace {
-                        sweep.process(*instr);
-                    }
-                    sweep
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("sweep thread panicked"))
-            .collect()
-    });
-
-    let mut out = Vec::with_capacity(cache_sizes.len() * line_sizes.len());
-    for &cache_bytes in cache_sizes {
-        for (li, &line_bytes) in line_sizes.iter().enumerate() {
-            let sets = cache_bytes / (line_bytes * u64::from(assoc));
-            let stats = sweeps[li].stats(sets.trailing_zeros(), assoc);
-            out.push(HitRatioPoint {
-                cache_bytes,
-                line_bytes,
-                hit_ratio: stats.hit_ratio(),
-                flush_ratio: stats.flush_ratio(),
-            });
-        }
-    }
-    Ok(out)
-}
-
-/// Reference implementation of [`hit_ratio_grid`]: replays the trace
-/// once per configuration through a live [`Cache`].
-///
-/// Costs `O(|sizes| · |lines| · N)` trace work against the sweep's
-/// `O(|lines| · N)`; kept as the oracle the single-pass engine is
-/// validated and benchmarked against.
-///
-/// # Errors
-///
-/// Returns the first [`ConfigError`] produced by an invalid combination.
 pub fn hit_ratio_grid_replay<T, F>(
     cache_sizes: &[u64],
     line_sizes: &[u64],
@@ -237,7 +143,7 @@ mod tests {
 
     #[test]
     fn hit_ratio_grows_with_cache_size() {
-        let points = hit_ratio_grid(
+        let points = hit_ratio_grid_replay(
             &[2048, 8192, 32768],
             &[32],
             2,
@@ -259,7 +165,7 @@ mod tests {
             )
             .take(60_000)
         };
-        let points = hit_ratio_grid(&[8192], &[8, 64], 2, strided, 5_000).unwrap();
+        let points = hit_ratio_grid_replay(&[8192], &[8, 64], 2, strided, 5_000).unwrap();
         // A unit-stride sweep misses once per line: larger lines mean
         // fewer misses.
         assert!(
@@ -272,8 +178,10 @@ mod tests {
 
     #[test]
     fn grid_propagates_config_errors() {
-        let err = hit_ratio_grid(&[64], &[64], 2, || ws_trace(128, 10), 0);
-        assert!(err.is_err());
+        // The first invalid combination in grid order is reported: two
+        // 64 B ways do not fit a 64 B cache.
+        let err = hit_ratio_grid_replay(&[4096, 64], &[32, 64], 2, || ws_trace(128, 10), 0);
+        assert_eq!(err, Err(CacheConfig::new(64, 64, 2).unwrap_err()));
     }
 
     #[test]
@@ -281,21 +189,33 @@ mod tests {
         let sizes = [1024, 4096, 16 * 1024];
         let lines = [16, 32, 64];
         let trace = || ws_trace(8 * 1024, 30_000);
-        let fast = hit_ratio_grid(&sizes, &lines, 2, trace, 5_000).unwrap();
+        // The single-pass engine: one sweep per line size, read back
+        // through the simulated backend.
+        let sim = crate::Simulated::from_sweeps(
+            lines
+                .iter()
+                .map(|&l| crate::StackDistSweep::run(l, 9, 2, 5_000, trace()).unwrap())
+                .collect(),
+        );
         let replay = hit_ratio_grid_replay(&sizes, &lines, 2, trace, 5_000).unwrap();
-        // Same counters, same divisions: the f64s must be identical,
-        // not merely close.
-        assert_eq!(fast, replay);
+        for p in &replay {
+            let cfg = CacheConfig::new(p.cache_bytes, p.line_bytes, 2).unwrap();
+            let stats = sim.stats(&cfg).unwrap();
+            // Same counters, same divisions: the f64s must be
+            // identical, not merely close.
+            assert_eq!(stats.hit_ratio(), p.hit_ratio, "{p:?}");
+            assert_eq!(stats.flush_ratio(), p.flush_ratio, "{p:?}");
+        }
     }
 
     #[test]
     fn empty_grid_yields_no_points() {
         assert_eq!(
-            hit_ratio_grid(&[], &[32], 2, || ws_trace(128, 10), 0).unwrap(),
+            hit_ratio_grid_replay(&[], &[32], 2, || ws_trace(128, 10), 0).unwrap(),
             vec![]
         );
         assert_eq!(
-            hit_ratio_grid(&[1024], &[], 2, || ws_trace(128, 10), 0).unwrap(),
+            hit_ratio_grid_replay(&[1024], &[], 2, || ws_trace(128, 10), 0).unwrap(),
             vec![]
         );
     }

@@ -34,9 +34,9 @@
 //! state: no instruction cache, no L2, no prefetching, single issue, and
 //! a write-back write-allocate data cache (so every miss allocates and
 //! hits stay hits regardless of timing). [`MissTimeline::supports`]
-//! gates exactly that subset; callers keep `Cpu::run` as the oracle and
-//! fall back to it otherwise — mirroring the
-//! `hit_ratio_grid` / `hit_ratio_grid_replay` split in `simcache`.
+//! gates exactly that subset. `Cpu::run` stays the oracle, and runs
+//! the configurations outside it, just as `simcache`'s stack-distance
+//! sweeps keep `explore::hit_ratio_grid_replay` as their oracle.
 
 use crate::config::{CpuConfig, Prefetch, StallFeature};
 use crate::result::SimResult;

@@ -176,14 +176,23 @@ pub struct GridSpec {
 }
 
 impl GridSpec {
-    /// The comparison grid: Figure-6 capacities and line sizes crossed
-    /// with associativity 1/2/4 — 105 points per workload.
-    pub fn comparison(warmup: u64) -> Self {
+    /// The Figure-6 grid: capacities 1–64 KB, lines 8–128 B, two-way —
+    /// 35 points per workload.
+    pub fn figure6(warmup: u64) -> Self {
         GridSpec {
             cache_sizes: (0..=6).map(|i| 1024u64 << i).collect(),
             line_sizes: vec![8, 16, 32, 64, 128],
-            assocs: vec![1, 2, 4],
+            assocs: vec![2],
             warmup,
+        }
+    }
+
+    /// The comparison grid: the [Figure-6 grid](GridSpec::figure6)
+    /// crossed with associativity 1/2/4 — 105 points per workload.
+    pub fn comparison(warmup: u64) -> Self {
+        GridSpec {
+            assocs: vec![1, 2, 4],
+            ..GridSpec::figure6(warmup)
         }
     }
 
@@ -210,6 +219,31 @@ impl GridSpec {
             .map(|&c| c / (line_bytes * amin))
             .max()
             .expect("grid has cache sizes")
+    }
+
+    /// One empty [`StackDistSweep`] per line size, each tracking exactly
+    /// the set counts and ways this grid queries — the sinks a
+    /// [`Simulated`] backend for this grid folds a trace into.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a line size is not a power of two, or the grid has no
+    /// capacities or associativities.
+    pub fn sweeps(&self) -> Vec<StackDistSweep> {
+        let amax = *self.assocs.iter().max().expect("grid has assocs");
+        self.line_sizes
+            .iter()
+            .map(|&line_bytes| {
+                StackDistSweep::new_range(
+                    line_bytes,
+                    self.min_sets(line_bytes).trailing_zeros(),
+                    self.max_sets(line_bytes).trailing_zeros(),
+                    amax,
+                    self.warmup,
+                )
+                .expect("valid grid line size")
+            })
+            .collect()
     }
 }
 
@@ -441,21 +475,7 @@ impl Workloads for Uncached {
         grid: &GridSpec,
         instructions: usize,
     ) -> Simulated {
-        let amax = *grid.assocs.iter().max().expect("grid has assocs");
-        let mut sinks: Vec<StackDistSweep> = grid
-            .line_sizes
-            .iter()
-            .map(|&line_bytes| {
-                StackDistSweep::new_range(
-                    line_bytes,
-                    grid.min_sets(line_bytes).trailing_zeros(),
-                    grid.max_sets(line_bytes).trailing_zeros(),
-                    amax,
-                    grid.warmup,
-                )
-                .expect("valid grid line size")
-            })
-            .collect();
+        let mut sinks = grid.sweeps();
         let trace: Vec<simtrace::Instr> = spec.compile(GRID_SEED).take(instructions).collect();
         for sink in &mut sinks {
             sink.process_slice(&trace);

@@ -9,6 +9,8 @@
 //!
 //! Run with `cargo run --release --example line_size_advisor`.
 
+use bench::grid::{build_simulated, GridSpec};
+use simcache::HitRatioBackend;
 use simtrace::workload::builtin;
 use simtrace::WorkloadSpec;
 use tradeoff::linesize::{
@@ -20,21 +22,26 @@ const CACHE_BYTES: u64 = 16 * 1024;
 const INSTRUCTIONS: usize = 120_000;
 
 fn measured_candidates(program: &WorkloadSpec) -> Vec<LineCandidate> {
-    let lines = [8u64, 16, 32, 64, 128];
-    simcache::explore::hit_ratio_grid(
-        &[CACHE_BYTES],
-        &lines,
-        2,
-        || program.compile(0xBEEF).take(INSTRUCTIONS),
-        INSTRUCTIONS as u64 / 5,
-    )
-    .expect("valid geometry")
-    .into_iter()
-    .map(|p| LineCandidate {
-        line_bytes: p.line_bytes as f64,
-        hit_ratio: HitRatio::new(p.hit_ratio).expect("simulator returns a valid ratio"),
-    })
-    .collect()
+    // One 16 KB two-way capacity, every line size: one stack-distance
+    // sweep per line, folded in a single streaming pass over the trace.
+    let grid = GridSpec {
+        cache_sizes: vec![CACHE_BYTES],
+        line_sizes: vec![8, 16, 32, 64, 128],
+        assocs: vec![2],
+        warmup: INSTRUCTIONS as u64 / 5,
+    };
+    let sim = build_simulated(program, &grid, INSTRUCTIONS);
+    grid.line_sizes
+        .iter()
+        .map(|&line_bytes| LineCandidate {
+            line_bytes: line_bytes as f64,
+            hit_ratio: HitRatio::new(
+                sim.hit_ratio(CACHE_BYTES, line_bytes, 2)
+                    .expect("grid covered by its sweeps"),
+            )
+            .expect("simulator returns a valid ratio"),
+        })
+        .collect()
 }
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {

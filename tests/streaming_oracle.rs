@@ -7,10 +7,11 @@
 
 use bench::common::proxy;
 use bench::fault::{self, FaultKind, FaultPlan, Site};
+use bench::grid::GridSpec;
 use bench::registry::RunCtx;
 use bench::sched::{run_suite, RetryPolicy, SuiteOptions};
 use bench::stream::{self, FoldOut, FoldSink};
-use bench::sweep::{artifact, run_sweep, SweepGrid, SWEEP_SEED};
+use bench::sweep::{artifact, run_sweep, SWEEP_SEED};
 use simcache::explore::hit_ratio_grid_replay;
 use simcache::stackdist::StackDistSweep;
 use simcpu::{MissTimeline, MissTimelineBuilder};
@@ -35,17 +36,17 @@ fn streaming_sweep_matches_per_config_replay() {
     // The whole-trace oracle is the independent per-configuration
     // replay, not another sweep: agreement here checks the chunked
     // fold end to end, not merely that two code paths share bugs.
-    let grid = SweepGrid {
+    let grid = GridSpec {
         cache_sizes: vec![1024, 4096, 16 * 1024],
         line_sizes: vec![16, 32, 64],
-        assoc: 2,
+        assocs: vec![2],
         warmup: 1_000,
     };
     for ws in run_sweep(&[proxy("swm256"), proxy("doduc")], &grid, N) {
         let replay = hit_ratio_grid_replay(
             &grid.cache_sizes,
             &grid.line_sizes,
-            grid.assoc,
+            grid.assocs[0],
             || ws.program.compile(SWEEP_SEED).take(N),
             grid.warmup,
         )
@@ -160,10 +161,10 @@ fn folds_and_artifacts_are_chunk_size_invariant() {
     }
     // And the rendered CSV artifact (what the manifest hashes) is
     // stable across repeated streamed runs.
-    let grid = SweepGrid {
+    let grid = GridSpec {
         cache_sizes: vec![1024, 4096],
         line_sizes: vec![16, 32],
-        assoc: 2,
+        assocs: vec![2],
         warmup: 500,
     };
     let reference = artifact(&run_sweep(&[proxy("nasa7")], &grid, N));
