@@ -2,7 +2,7 @@
 # CI gate: tier-1 verification plus lint, exactly what a PR must pass.
 #
 #   ./ci.sh          tier-1 (release build + every workspace crate's
-#                    tests) + fmt +
+#                    tests, which must leave results/ untouched) + fmt +
 #                    clippy + manifest (committed results/ hash-verified
 #                    against a fresh parallel suite run) + faults (canned
 #                    fault plan degrades the suite instead of killing it)
@@ -11,6 +11,9 @@
 #                    + analytic (closed-form backend bit-exact on FA LRU,
 #                    within tolerance on the comparison grid, pruned
 #                    dense search equal to the exhaustive walk)
+#                    + serve (tradeoff-server smoke: canned queries over
+#                    HTTP byte-match the CLI, /stats proves memoisation,
+#                    clean shutdown)
 #                    + chaos (armed serve-path fault plan: sheds are
 #                    deterministic and survivable, no worker dies, and
 #                    the post-chaos canned answer is byte-identical to
@@ -23,14 +26,9 @@
 #   ./ci.sh bench    additionally regenerate BENCH_sweep.json (figure-6
 #                    grid), BENCH_phi.json (figure-1 timeline engine),
 #                    BENCH_stream.json (5 M-instruction chunked
-#                    pipeline), BENCH_analytic.json (closed-form
-#                    miss-ratio backend) and BENCH_serve.json (query
-#                    serving path: hot/cold qps, keep-alive speedup,
-#                    overload tail latency + shed rate) from the
-#                    criterion benches (slow; perf-sensitive PRs)
-#                    + serve (tradeoff-server smoke: canned queries over
-#                    HTTP byte-match the CLI, /stats proves memoisation,
-#                    clean shutdown)
+#                    pipeline) and BENCH_analytic.json (closed-form
+#                    miss-ratio backend) from the criterion benches
+#                    (slow; perf-sensitive PRs)
 #   ./ci.sh manifest run only the manifest staleness check
 #   ./ci.sh faults   run only the fault-injection degradation check
 #   ./ci.sh stream   run only the streaming smoke
@@ -438,7 +436,14 @@ echo "==> tier-1: cargo build --release"
 cargo build --release
 
 echo "==> tier-1: cargo test --workspace -q"
+# The tests must leave the committed results/ alone: only the suite
+# runners write artifacts there.
+stamp="$(mktemp)"
 cargo test --workspace -q
+written="$(find results -newer "$stamp")"
+rm -f "$stamp"
+[[ -z "$written" ]] \
+    || { echo "FAIL: tier-1 tests wrote under results/:"; echo "$written"; exit 1; }
 
 echo "==> lint: cargo fmt --check"
 cargo fmt --check
@@ -469,9 +474,6 @@ if [[ "${1:-}" == "bench" ]]; then
     echo "==> perf: closed-form miss-ratio backend benchmark (writes BENCH_analytic.json)"
     cargo bench -p bench --bench analytic
     cat BENCH_analytic.json
-    echo "==> perf: query-server serving-path benchmark (writes BENCH_serve.json)"
-    cargo bench --bench serve
-    cat BENCH_serve.json
 fi
 
 echo "CI green."

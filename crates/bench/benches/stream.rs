@@ -8,8 +8,8 @@
 //! per Figure-1 φ point. The streaming path answers the identical
 //! points with one chunked generation pass broadcast into per-line-size
 //! stack-distance sweeps plus a miss-timeline sink, then `O(misses)`
-//! replays — peak trace-resident memory is a few `REPRO_STREAM_CHUNK`
-//! blocks instead of `24 B × N`.
+//! replays — peak trace-resident memory is a few
+//! `DEFAULT_CHUNK_INSTRUCTIONS` blocks instead of `24 B × N`.
 //!
 //! The run asserts both paths produce identical grid points and φ
 //! values before timing anything, records the comparison in
@@ -25,6 +25,7 @@ use simcache::explore::{hit_ratio_grid_replay, HitRatioPoint};
 use simcache::Simulated;
 use simcpu::{Cpu, CpuConfig, MissTimeline, MissTimelineBuilder, StallFeature};
 use simmem::{BusWidth, MemoryTiming};
+use simtrace::chunk::DEFAULT_CHUNK_INSTRUCTIONS;
 use simtrace::workload::builtin;
 use simtrace::{Instr, ReuseHistograms};
 use std::time::Instant;
@@ -167,7 +168,7 @@ fn time_best(reps: u32, mut f: impl FnMut()) -> f64 {
 }
 
 fn stream_comparison(c: &mut Criterion) {
-    let chunk = stream::chunk_instructions();
+    let chunk = DEFAULT_CHUNK_INSTRUCTIONS;
 
     // Correctness gate: the streaming pipeline must answer the exact
     // same design points before its speedup means anything.

@@ -13,12 +13,12 @@
 //! the analytic numbers deserve on machines that violate them.
 
 use crate::registry::{ExpReport, Experiment, RunCtx};
-use crate::tracestore;
 use report::Table;
 use simcache::CacheConfig;
 use simcpu::{Cpu, CpuConfig, SimResult};
 use simmem::{BusWidth, MemoryTiming};
 use simtrace::workload::{builtins, WorkloadSpec};
+use simtrace::Instr;
 
 /// The three variants per workload.
 #[derive(Debug, Clone, PartialEq)]
@@ -33,7 +33,7 @@ pub struct AssumptionRow {
     pub slow_writes: SimResult,
 }
 
-fn simulate(program: &WorkloadSpec, shared: bool, slow_writes: bool, n: usize) -> SimResult {
+fn simulate(trace: &[Instr], shared: bool, slow_writes: bool) -> SimResult {
     let mut timing = MemoryTiming::new(BusWidth::new(4).expect("valid bus"), 8);
     if slow_writes {
         timing = timing.with_write_beta(16);
@@ -47,32 +47,24 @@ fn simulate(program: &WorkloadSpec, shared: bool, slow_writes: bool, n: usize) -
         cfg = cfg.with_shared_bus();
     }
     // The I-cache makes timing cache-history-dependent, so this
-    // experiment keeps the full simulator — but the trace itself is
-    // materialised once per program and shared by the three variants.
-    let trace = tracestore::workload_trace(program, 0xA55E, n);
+    // experiment keeps the full simulator.
     Cpu::new(cfg).run(trace.iter().copied())
 }
 
-/// Runs the audit for every proxy: the 18 (program × variant) full
-/// simulations fan out over the [`crate::exec`] pool.
+/// Runs the audit for every proxy: the six programs fan out over the
+/// [`crate::exec`] pool, each compiling its trace once for its three
+/// variants and dropping it when done.
 pub fn run(instructions: usize) -> Vec<AssumptionRow> {
-    let jobs: Vec<(&WorkloadSpec, bool, bool)> = builtins()
-        .iter()
-        .flat_map(|p| [(p, false, false), (p, true, false), (p, false, true)])
-        .collect();
-    let results = crate::exec::parallel_map(&jobs, |&(program, shared, slow)| {
-        simulate(program, shared, slow, instructions)
-    });
-    builtins()
-        .iter()
-        .zip(results.chunks(3))
-        .map(|(program, chunk)| AssumptionRow {
+    let programs: Vec<&'static WorkloadSpec> = builtins().iter().collect();
+    crate::exec::parallel_map(&programs, |&program| {
+        let trace: Vec<Instr> = program.compile(0xA55E).take(instructions).collect();
+        AssumptionRow {
             program,
-            baseline: chunk[0],
-            shared_bus: chunk[1],
-            slow_writes: chunk[2],
-        })
-        .collect()
+            baseline: simulate(&trace, false, false),
+            shared_bus: simulate(&trace, true, false),
+            slow_writes: simulate(&trace, false, true),
+        }
+    })
 }
 
 /// Renders the audit table.
@@ -129,12 +121,6 @@ impl Experiment for Exp {
     fn run(&self, ctx: &RunCtx) -> ExpReport {
         ExpReport::text_only(render(&run(ctx.instructions)))
     }
-}
-
-/// Entry point shared by the binary and the suite driver (runs at
-/// the standard context and writes artifacts to the results dir).
-pub fn main_report() -> String {
-    crate::registry::main_report(&Exp)
 }
 
 #[cfg(test)]

@@ -29,6 +29,7 @@ use simcache::hitratio::{Resolution, SET_CONFLICT_TOLERANCE};
 use simcache::Analytic;
 use simcache::CacheConfig;
 use simtrace::workload::builtins;
+use simtrace::Instr;
 use std::process::ExitCode;
 
 fn usage() -> ExitCode {
@@ -54,8 +55,10 @@ fn main() -> ExitCode {
     // Gate 1: FA LRU bit-exactness against Cache replay.
     for program in builtins() {
         let analytic = grid::build_analytic(program, instructions, warmup);
-        let trace =
-            bench::tracestore::workload_trace(program, bench::sweep::SWEEP_SEED, instructions);
+        let trace: Vec<Instr> = program
+            .compile(bench::sweep::SWEEP_SEED)
+            .take(instructions)
+            .collect();
         for (line_bytes, lines) in [(16u64, 8u32), (32, 64), (64, 256)] {
             let cfg = CacheConfig::new(line_bytes * u64::from(lines), line_bytes, lines)
                 .expect("valid fully-associative geometry");

@@ -20,7 +20,7 @@
 //!
 //! Exit codes: `0` success, `1` one or more experiments failed, `2` bad
 //! usage (including a filter that matches nothing or a malformed
-//! `REPRO_TRACE_BUDGET` or `REPRO_STREAM_CHUNK`), `3` an artifact could
+//! `REPRO_TRACE_BUDGET`), `3` an artifact could
 //! not be written.
 
 use bench::registry::{self, RunCtx};
@@ -102,7 +102,7 @@ fn run(args: &[String]) {
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    if let Err(e) = bench::check_env() {
+    if let Err(e) = bench::tracestore::budget() {
         eprintln!("error: {e}");
         std::process::exit(2);
     }

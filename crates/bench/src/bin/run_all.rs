@@ -10,7 +10,7 @@
 //! trace-store footer goes to stderr so stdout stays deterministic.
 //!
 //! Exit codes: `0` success, `1` one or more experiments failed, `2` a
-//! malformed `REPRO_TRACE_BUDGET` or `REPRO_STREAM_CHUNK`, `3` an
+//! malformed `REPRO_TRACE_BUDGET`, `3` an
 //! artifact could not be written.
 
 use bench::registry::RunCtx;
@@ -18,7 +18,7 @@ use bench::sched::{drive, SuiteOptions};
 use bench::Error;
 
 fn main() {
-    if let Err(e) = bench::check_env() {
+    if let Err(e) = bench::tracestore::budget() {
         eprintln!("error: {e}");
         std::process::exit(2);
     }

@@ -22,6 +22,7 @@ use simcache::explore::{hit_ratio_grid_replay, HitRatioPoint};
 use simcache::Simulated;
 use simcpu::{Cpu, CpuConfig, MissTimeline, MissTimelineBuilder, StallFeature, TimelineCpu};
 use simmem::{BusWidth, MemoryTiming};
+use simtrace::chunk::DEFAULT_CHUNK_INSTRUCTIONS;
 use simtrace::workload::{builtin, CompiledTrace};
 use simtrace::{Instr, INSTR_BYTES};
 use std::process::ExitCode;
@@ -102,7 +103,7 @@ fn main() -> ExitCode {
     }
 
     let spec = GridSpec::figure6(instructions as u64 / 5);
-    let chunk = stream::chunk_instructions();
+    let chunk = DEFAULT_CHUNK_INSTRUCTIONS;
     let (grid, phis) = streamed(instructions, &spec, chunk);
 
     // RSS gate first: the oracle pass below materialises the whole

@@ -125,12 +125,6 @@ impl Experiment for Exp {
     }
 }
 
-/// Entry point shared by the binary and the suite driver (runs at
-/// the standard context and writes artifacts to the results dir).
-pub fn main_report() -> String {
-    crate::registry::main_report(&Exp)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -174,7 +168,7 @@ mod tests {
 
     #[test]
     fn render_mentions_both_currencies() {
-        let text = main_report();
+        let text = Exp.run(&RunCtx::standard()).section;
         assert!(text.contains("extra pins"));
         assert!(text.contains("SRAM"));
     }

@@ -54,7 +54,8 @@ pub const ENV_PLAN: &str = "REPRO_FAULTS";
 /// A named injection point in the pipeline.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Site {
-    /// Trace / timeline extraction ([`crate::tracestore`]).
+    /// Every workload fold (`tracestore::fold_streaming`): timeline and
+    /// histogram extraction and the simulated grids.
     Extract,
     /// The experiment `run` call itself ([`crate::sched`]).
     Run,
@@ -312,12 +313,6 @@ fn active() -> Option<Arc<FaultPlan>> {
         }
     }
     env_plan()
-}
-
-/// True when any plan (API- or env-armed) is active. The scheduler uses
-/// this to keep the no-fault path allocation-free.
-pub fn any_armed() -> bool {
-    active().is_some()
 }
 
 /// Evaluates site `site` for the current experiment: returns the

@@ -109,11 +109,6 @@ impl Experiment for Exp {
     }
 }
 
-/// Entry point shared by the binary and the suite driver.
-pub fn main_report() -> String {
-    crate::registry::main_report(&Exp)
-}
-
 /// Wall-clock record of the Figure-1 sweep through the miss-event
 /// timeline engine versus per-point full simulation, written to
 /// `BENCH_phi.json` by `cargo bench -p bench --bench phi`.

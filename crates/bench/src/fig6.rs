@@ -103,15 +103,6 @@ impl Experiment for Exp {
     }
 }
 
-/// Entry point shared by the binary and the suite driver.
-///
-/// # Panics
-///
-/// Panics if the canonical model fails evaluation (it does not).
-pub fn main_report() -> String {
-    crate::registry::main_report(&Exp)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

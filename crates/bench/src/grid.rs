@@ -365,11 +365,6 @@ impl Experiment for Exp {
     }
 }
 
-/// Entry point shared by the binary and the `run_all` driver.
-pub fn main_report() -> String {
-    crate::registry::main_report(&Exp)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

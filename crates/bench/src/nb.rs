@@ -133,12 +133,6 @@ impl Experiment for Exp {
     }
 }
 
-/// Entry point shared by the binary and the suite driver (runs at
-/// the standard context and writes artifacts to the results dir).
-pub fn main_report() -> String {
-    crate::registry::main_report(&Exp)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -191,12 +191,6 @@ impl Experiment for Exp {
     }
 }
 
-/// Entry point shared by the binary and the suite driver (runs at
-/// the standard context and writes artifacts to the results dir).
-pub fn main_report() -> String {
-    crate::registry::main_report(&Exp)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -281,7 +275,7 @@ mod tests {
 
     #[test]
     fn render_lists_phases() {
-        let text = main_report();
+        let text = Exp.run(&RunCtx::standard()).section;
         assert!(text.contains("sweep") && text.contains("gather") && text.contains("hot loop"));
     }
 }

@@ -198,8 +198,8 @@ pub fn write_artifacts_warn(dir: &Path, artifacts: &[Artifact]) {
 }
 
 /// Runs one experiment at the standard context, writes its artifacts to
-/// the results directory, and returns the section — the behaviour every
-/// module's legacy `main_report()` keeps exposing.
+/// the results directory, and returns the section — what `exp <id>`
+/// prints.
 pub fn main_report(exp: &dyn Experiment) -> String {
     let report = exp.run(&RunCtx::standard());
     write_artifacts_warn(&crate::common::results_dir(), &report.artifacts);

@@ -277,20 +277,13 @@ impl SuiteRun {
     /// trace-store activity, plus suite totals. Printed to stderr by
     /// the drivers so stdout stays deterministic.
     pub fn footer(&self) -> String {
-        let mut t = report::Table::new([
-            "experiment",
-            "status",
-            "wall",
-            "traces h/m",
-            "timelines h/m",
-            "hists h/m",
-        ]);
+        let mut t =
+            report::Table::new(["experiment", "status", "wall", "timelines h/m", "hists h/m"]);
         for o in &self.outcomes {
             t.row([
                 o.id.to_string(),
                 o.status(),
                 format!("{:.3}s", o.wall.as_secs_f64()),
-                format!("{}/{}", o.store.trace_hits, o.store.trace_misses),
                 format!("{}/{}", o.store.timeline_hits, o.store.timeline_misses),
                 format!("{}/{}", o.store.hist_hits, o.store.hist_misses),
             ]);
@@ -303,20 +296,12 @@ impl SuiteRun {
             t.render()
         );
         // Byte accounting of what is still resident, per kind (their sum
-        // is what the REPRO_TRACE_BUDGET cap acts on), plus per-trace
-        // sizes.
-        let entries = tracestore::resident_entries();
+        // is what the REPRO_TRACE_BUDGET cap acts on).
         let stats = tracestore::stats();
         out.push_str(&format!(
-            "trace store resident: {} bytes in {} traces, {} bytes in timelines, {} bytes in histograms",
-            stats.trace_bytes,
-            entries.len(),
-            stats.timeline_bytes,
-            stats.hist_bytes
+            "trace store resident: {} bytes in timelines, {} bytes in histograms",
+            stats.timeline_bytes, stats.hist_bytes
         ));
-        for (name, seed, bytes) in entries {
-            out.push_str(&format!("\n  {name}@{seed:#x}: {bytes} bytes"));
-        }
         // The process-wide store snapshot — the same accessor the query
         // server's /stats endpoint reports.
         out.push_str(&format!("\nstore stats: {}\n", stats.summary()));
@@ -754,7 +739,7 @@ mod tests {
         assert!(footer.contains("ok"));
         assert!(
             footer.contains("trace store resident:") && footer.contains("bytes in"),
-            "footer must report resident trace bytes:\n{footer}"
+            "footer must report resident store bytes:\n{footer}"
         );
         assert!(
             footer.contains("store stats:")

@@ -14,19 +14,18 @@
 //! few chunks, not the trace length. [`broadcast`] is the only fold;
 //! workload folds reach it through `tracestore::fold_streaming`.
 //!
-//! The chunk size comes from `REPRO_STREAM_CHUNK` (instructions,
-//! default [`simtrace::chunk::DEFAULT_CHUNK_INSTRUCTIONS`], read once
-//! per process); the determinism contract is documented in `DESIGN.md`
-//! §12.
+//! Workload folds use [`simtrace::chunk::DEFAULT_CHUNK_INSTRUCTIONS`]
+//! per chunk; any positive size folds bit-identically (the determinism
+//! contract is documented in `DESIGN.md` §12).
 
 use crate::{exec, fault};
 use simcache::stackdist::StackDistSweep;
 use simcpu::{MissTimeline, MissTimelineBuilder};
-use simtrace::chunk::{ChunkedTrace, DEFAULT_CHUNK_INSTRUCTIONS};
+use simtrace::chunk::ChunkedTrace;
 use simtrace::{cancel, Instr, ReuseHistograms};
 use std::path::Path;
 use std::sync::mpsc;
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
 /// Chunks a producer may hold in flight per sink (bounded channel
 /// depth): with the producer's scratch chunk this caps trace-resident
@@ -41,31 +40,6 @@ pub fn peak_rss_bytes() -> Option<u64> {
     let line = status.lines().find(|l| l.starts_with("VmHWM:"))?;
     let kb: u64 = line.split_whitespace().nth(1)?.parse().ok()?;
     Some(kb * 1024)
-}
-
-/// The `REPRO_STREAM_CHUNK` chunk size, resolved once per process:
-/// [`DEFAULT_CHUNK_INSTRUCTIONS`] when unset, an error naming the value
-/// when it is not a positive instruction count. The binaries check it
-/// at startup ([`crate::check_env`]) and exit 2 on an error.
-pub fn chunk_setting() -> Result<usize, String> {
-    static CHUNK: OnceLock<Result<usize, String>> = OnceLock::new();
-    CHUNK
-        .get_or_init(|| {
-            let Ok(raw) = std::env::var("REPRO_STREAM_CHUNK") else {
-                return Ok(DEFAULT_CHUNK_INSTRUCTIONS);
-            };
-            raw.parse().ok().filter(|&n| n > 0).ok_or_else(|| {
-                format!("REPRO_STREAM_CHUNK: not a positive instruction count: {raw:?}")
-            })
-        })
-        .clone()
-}
-
-/// Instructions per streamed chunk: the [`chunk_setting`], or the
-/// default when the setting is malformed (the binaries have refused to
-/// start by then).
-pub fn chunk_instructions() -> usize {
-    chunk_setting().unwrap_or(DEFAULT_CHUNK_INSTRUCTIONS)
 }
 
 /// An order-sensitive fold over a chunked instruction stream.
@@ -495,12 +469,5 @@ mod tests {
         ] {
             assert!(json.contains(key), "missing {key} in {json}");
         }
-    }
-
-    #[test]
-    fn chunk_instructions_defaults_sanely() {
-        // Do not touch the env var (tests run in-process, in parallel);
-        // whatever it is set to, the result is positive.
-        assert!(chunk_instructions() > 0);
     }
 }

@@ -227,11 +227,6 @@ impl Experiment for Exp {
     }
 }
 
-/// Entry point shared by the binary and the `run_all` driver.
-pub fn main_report() -> String {
-    crate::registry::main_report(&Exp)
-}
-
 /// Timing comparison between the per-configuration replay and the
 /// single-pass sweep on the same grid, as recorded in
 /// `BENCH_sweep.json` by the `sweep` benchmark.

@@ -1,51 +1,46 @@
-//! Process-wide memoised traces, miss timelines and reuse histograms.
+//! Process-wide memoised miss timelines and reuse histograms: the
+//! products of one trace-driven fold per (workload, geometry).
 //!
 //! Every φ/α experiment used to regenerate its SPEC92 proxy trace — and
 //! re-simulate the cache — once *per timing point* (168 times for
-//! Figure 1 alone), even though both depend only on (program, seed,
-//! length) and (…, cache geometry) respectively. This store materialises
-//! each trace once into a shared allocation and memoises each extracted
-//! [`MissTimeline`], so a β-sweep costs one trace generation plus one
-//! cache pass, after which every point is an `O(misses)` replay.
+//! Figure 1 alone), even though the cache pass depends only on
+//! (program, seed, length, cache geometry). This store memoises each
+//! extracted [`MissTimeline`] and each folded [`ReuseHistograms`], so a
+//! β-sweep costs one streamed fold, after which every point is an
+//! `O(misses)` replay.
 //!
-//! Workload identity is the declarative spec hash: every store keys on
+//! Workload identity is the declarative spec hash: every memo keys on
 //! `(`[`WorkloadId`]`, seed, …)`, so a built-in proxy and an inline
 //! spec with the same canonical form share one entry.
 //!
-//! Traces of different lengths share one backing: the generators are
-//! deterministic lazy streams, so the `n`-instruction trace is a
-//! prefix of the `m ≥ n` one (asserted in the tests below). The store
-//! keeps the longest materialisation per (workload, seed) and hands
-//! out prefix views.
-//!
-//! Traces, timelines and histograms are three instances of one [`Memo`]:
-//! a map behind a poison-recovering lock, a key gate that coalesces
+//! Timelines and histograms are two instances of one [`Memo`]: a map
+//! behind a poison-recovering lock, a key gate that coalesces
 //! concurrent misses onto one extraction, LRU stamps, hit/miss/eviction
 //! counters and a running byte total. Each value reports its own weight
-//! ([`Weigh`]), and the three totals add to one process-wide resident
-//! figure capped by `REPRO_TRACE_BUDGET` (bytes, with optional
-//! `k`/`m`/`g` suffix; unset means no cap), resolved once per process
-//! by [`budget`]. An insert evicts the inserting memo's
-//! least-recently-used entries until the total fits, never the entry it
-//! is handing out; callers still holding an evicted value keep it alive.
+//! ([`Weigh`]), and the totals add to one process-wide resident figure
+//! capped by `REPRO_TRACE_BUDGET` (bytes, with optional `k`/`m`/`g`
+//! suffix; unset means no cap), resolved once per process by
+//! [`budget`]. An insert evicts the inserting memo's least-recently-used
+//! entries until the total fits, never the entry it is handing out;
+//! callers still holding an evicted value keep it alive.
 //!
 //! Extraction always runs outside the memo lock, under the key's gate
 //! claim, so a fault or a cancelled deadline mid-extraction memoises
 //! nothing and poisons nothing. Every fold of a workload — timelines,
 //! histograms, and the simulated grids `grid::build_simulated` builds —
 //! goes through [`fold_streaming`], which generates the trace chunk by
-//! chunk straight into the sinks without materialising it, keeping a
-//! few chunks of instructions resident (`REPRO_STREAM_CHUNK`, see
-//! `DESIGN.md` §12). Only [`workload_trace`] pins full traces, and no
-//! fold reads them.
+//! chunk straight into the sinks, keeping a few
+//! [`DEFAULT_CHUNK_INSTRUCTIONS`]-instruction chunks resident (see
+//! `DESIGN.md` §12). The store never holds a trace.
 
 use crate::error::lock_recovering;
 use crate::fault::{self, Site};
 use crate::stream;
 use simcache::CacheConfig;
 use simcpu::{MissTimeline, MissTimelineBuilder};
+use simtrace::chunk::DEFAULT_CHUNK_INSTRUCTIONS;
 use simtrace::workload::{WorkloadId, WorkloadSpec};
-use simtrace::{cancel, Instr, ReuseHistograms, INSTR_BYTES};
+use simtrace::{cancel, ReuseHistograms};
 use std::collections::{HashMap, HashSet};
 use std::hash::Hash;
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
@@ -58,17 +53,18 @@ pub const SPEC_SEED: u64 = 0xDEAD_BEEF;
 /// How many times a store lock was recovered from poison (a worker
 /// panicked — or was fault-injected — while holding it).
 pub fn poison_recoveries() -> u64 {
-    get(&traces().recoveries) + get(&timelines().recoveries) + get(&hists().recoveries)
+    get(&timelines().recoveries) + get(&hists().recoveries)
 }
 
 /// A snapshot of the store's hit/miss counters — the scheduler's first
 /// observability hook: a "hit" hands back a memoised allocation, a
-/// "miss" pays a trace generation or a cache-simulation pass.
+/// "miss" pays a streamed fold.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct StoreCounts {
-    /// Trace lookups served from the store.
+    /// Always 0: the store memoises no traces. Kept so readers of the
+    /// full counter set (`/stats`, the benchmark harness) still parse.
     pub trace_hits: u64,
-    /// Trace lookups that (re)generated instructions.
+    /// Always 0, like [`StoreCounts::trace_hits`].
     pub trace_misses: u64,
     /// Timeline lookups served from the store.
     pub timeline_hits: u64,
@@ -85,39 +81,32 @@ impl StoreCounts {
     #[must_use]
     pub fn since(&self, earlier: &StoreCounts) -> StoreCounts {
         StoreCounts {
-            trace_hits: self.trace_hits - earlier.trace_hits,
-            trace_misses: self.trace_misses - earlier.trace_misses,
             timeline_hits: self.timeline_hits - earlier.timeline_hits,
             timeline_misses: self.timeline_misses - earlier.timeline_misses,
             hist_hits: self.hist_hits - earlier.hist_hits,
             hist_misses: self.hist_misses - earlier.hist_misses,
+            ..StoreCounts::default()
         }
     }
 
     /// One-line human summary.
     pub fn summary(&self) -> String {
         format!(
-            "traces {} hit / {} miss, timelines {} hit / {} miss, histograms {} hit / {} miss",
-            self.trace_hits,
-            self.trace_misses,
-            self.timeline_hits,
-            self.timeline_misses,
-            self.hist_hits,
-            self.hist_misses
+            "timelines {} hit / {} miss, histograms {} hit / {} miss",
+            self.timeline_hits, self.timeline_misses, self.hist_hits, self.hist_misses
         )
     }
 }
 
 /// The current process-wide counter values.
 pub fn counters() -> StoreCounts {
-    let (t, tl, h) = (traces(), timelines(), hists());
+    let (tl, h) = (timelines(), hists());
     StoreCounts {
-        trace_hits: get(&t.hits),
-        trace_misses: get(&t.misses),
         timeline_hits: get(&tl.hits),
         timeline_misses: get(&tl.misses),
         hist_hits: get(&h.hits),
         hist_misses: get(&h.misses),
+        ..StoreCounts::default()
     }
 }
 
@@ -129,16 +118,15 @@ pub fn counters() -> StoreCounts {
 pub struct Stats {
     /// Hit/miss counters per store.
     pub counts: StoreCounts,
-    /// Materialised traces evicted by the `REPRO_TRACE_BUDGET` cap.
-    pub trace_evictions: u64,
-    /// Memoised timelines evicted by the budget cap.
+    /// Memoised timelines evicted by the `REPRO_TRACE_BUDGET` cap.
     pub timeline_evictions: u64,
     /// Memoised histograms evicted by the budget cap.
     pub hist_evictions: u64,
     /// Lookups that blocked on another thread's in-flight extraction
     /// of the same key instead of duplicating the work.
     pub coalesced_waits: u64,
-    /// Bytes of trace data currently materialised.
+    /// Always 0: the store holds no trace. Kept so readers of the full
+    /// byte breakdown still parse.
     pub trace_bytes: u64,
     /// Bytes of miss-timeline state currently memoised.
     pub timeline_bytes: u64,
@@ -153,11 +141,7 @@ impl Stats {
     pub fn summary(&self) -> String {
         let c = &self.counts;
         format!(
-            "traces {} hit / {} miss / {} evictions / {} B; timelines {} hit / {} miss / {} evictions / {} B; histograms {} hit / {} miss / {} evictions / {} B; coalesced waits {}, poison recoveries {}",
-            c.trace_hits,
-            c.trace_misses,
-            self.trace_evictions,
-            self.trace_bytes,
+            "timelines {} hit / {} miss / {} evictions / {} B; histograms {} hit / {} miss / {} evictions / {} B; coalesced waits {}, poison recoveries {}",
             c.timeline_hits,
             c.timeline_misses,
             self.timeline_evictions,
@@ -175,14 +159,13 @@ impl Stats {
 /// The current process-wide [`Stats`] snapshot. Counter fields are
 /// monotonic; the residency byte fields reflect this instant.
 pub fn stats() -> Stats {
-    let (t, tl, h) = (traces(), timelines(), hists());
+    let (tl, h) = (timelines(), hists());
     Stats {
         counts: counters(),
-        trace_evictions: get(&t.evictions),
         timeline_evictions: get(&tl.evictions),
         hist_evictions: get(&h.evictions),
-        coalesced_waits: get(&t.gate.waits) + get(&tl.gate.waits) + get(&h.gate.waits),
-        trace_bytes: get(&t.bytes),
+        coalesced_waits: get(&tl.gate.waits) + get(&h.gate.waits),
+        trace_bytes: 0,
         timeline_bytes: get(&tl.bytes),
         hist_bytes: get(&h.bytes),
         poison_recoveries: poison_recoveries(),
@@ -191,27 +174,6 @@ pub fn stats() -> Stats {
 
 fn get(counter: &AtomicU64) -> u64 {
     counter.load(Relaxed)
-}
-
-/// A shared trace prefix: cheap to clone, derefs to the instructions.
-#[derive(Debug, Clone)]
-pub struct TraceHandle {
-    data: Arc<Trace>,
-    len: usize,
-}
-
-impl TraceHandle {
-    /// The instructions of this prefix.
-    pub fn instrs(&self) -> &[Instr] {
-        &self.data.instrs[..self.len]
-    }
-}
-
-impl std::ops::Deref for TraceHandle {
-    type Target = [Instr];
-    fn deref(&self) -> &[Instr] {
-        self.instrs()
-    }
 }
 
 /// Parses a byte count with an optional `k`/`m`/`g` (×1024) suffix,
@@ -250,19 +212,6 @@ pub fn budget() -> Result<Option<u64>, String> {
 /// A memoisable value: it reports the bytes it keeps resident.
 trait Weigh {
     fn weight(&self) -> u64;
-}
-
-/// A materialised trace plus its label for the resident listing.
-#[derive(Debug)]
-struct Trace {
-    label: String,
-    instrs: Vec<Instr>,
-}
-
-impl Weigh for Trace {
-    fn weight(&self) -> u64 {
-        (self.instrs.len() * INSTR_BYTES) as u64
-    }
 }
 
 impl Weigh for MissTimeline {
@@ -423,28 +372,28 @@ impl<K: Eq + Hash + Copy, V: Weigh> Memo<K, V> {
         entries
     }
 
-    /// The memoised value under `key` if `fits` accepts it, stamped as
-    /// just used and counted as a hit; `None` counts nothing.
-    fn peek(&self, key: &K, fits: impl Fn(&V) -> bool) -> Option<Arc<V>> {
+    /// The memoised value under `key`, stamped as just used and counted
+    /// as a hit; `None` counts nothing.
+    fn peek(&self, key: &K) -> Option<Arc<V>> {
         let mut entries = self.lock();
         fault::check_or_unwind(Site::Lock);
         entries.clock += 1;
         let clock = entries.clock;
-        let slot = entries.map.get_mut(key).filter(|s| fits(&s.value))?;
+        let slot = entries.map.get_mut(key)?;
         slot.last_use = clock;
         self.hits.fetch_add(1, Relaxed);
         Some(Arc::clone(&slot.value))
     }
 
-    /// The memoised value under `key` if `fits` accepts it, else the
-    /// one `make` builds, memoised. Concurrent misses on one key
-    /// coalesce on the gate: the claimer makes the value, the others
-    /// wait and re-probe. `make` runs outside the lock, so hits never
-    /// queue behind it, and an unwind inside it memoises nothing.
-    fn get(&self, key: K, fits: impl Fn(&V) -> bool, make: impl FnOnce() -> V) -> Arc<V> {
+    /// The memoised value under `key`, else the one `make` builds,
+    /// memoised. Concurrent misses on one key coalesce on the gate: the
+    /// claimer makes the value, the others wait and re-probe. `make`
+    /// runs outside the lock, so hits never queue behind it, and an
+    /// unwind inside it memoises nothing.
+    fn get(&self, key: K, make: impl FnOnce() -> V) -> Arc<V> {
         let mut claim = None;
         loop {
-            if let Some(hit) = self.peek(&key, &fits) {
+            if let Some(hit) = self.peek(&key) {
                 return hit;
             }
             // Re-probe once after winning the claim: it may postdate
@@ -454,16 +403,15 @@ impl<K: Eq + Hash + Copy, V: Weigh> Memo<K, V> {
             }
             claim = self.gate.claim(key);
         }
-        fault::check_or_unwind(Site::Extract);
         self.misses.fetch_add(1, Relaxed);
         let value = Arc::new(make());
         self.insert(key, Arc::clone(&value));
         value
     }
 
-    /// Memoises `value` under `key` (replacing a shorter trace), then
-    /// evicts this memo's least-recently-used entries other than `key`
-    /// until the shared total fits the cap.
+    /// Memoises `value` under `key`, then evicts this memo's
+    /// least-recently-used entries other than `key` until the shared
+    /// total fits the cap.
     fn insert(&self, key: K, value: Arc<V>) {
         let bytes = value.weight();
         let mut entries = self.lock();
@@ -500,20 +448,14 @@ impl<K: Eq + Hash + Copy, V: Weigh> Memo<K, V> {
     }
 }
 
-/// Resident bytes of the three process-wide memos. Like every store
+/// Resident bytes of the process-wide memos. Like every store
 /// counter it publishes no other data, so `Relaxed` suffices; each memo
 /// changes its share only while holding its own lock.
 static RESIDENT: AtomicU64 = AtomicU64::new(0);
 
-type TraceKey = (WorkloadId, u64);
 type TimelineKey = (WorkloadId, u64, usize, CacheConfig);
 /// (workload, seed, len, min line, max line, max distance, warm-up).
 type HistKey = (WorkloadId, u64, usize, u64, u64, usize, u64);
-
-fn traces() -> &'static Memo<TraceKey, Trace> {
-    static MEMO: OnceLock<Memo<TraceKey, Trace>> = OnceLock::new();
-    MEMO.get_or_init(Memo::shared)
-}
 
 fn timelines() -> &'static Memo<TimelineKey, MissTimeline> {
     static MEMO: OnceLock<Memo<TimelineKey, MissTimeline>> = OnceLock::new();
@@ -525,51 +467,24 @@ fn hists() -> &'static Memo<HistKey, ReuseHistograms> {
     MEMO.get_or_init(Memo::shared)
 }
 
-/// The materialised traces — `(workload label, seed, bytes)` in
-/// deterministic (label, seed) order — for the scheduler footer.
-pub fn resident_entries() -> Vec<(String, u64, u64)> {
-    let entries = traces().lock();
-    let mut listed: Vec<_> = entries
-        .map
-        .iter()
-        .map(|((_, seed), s)| (s.value.label.clone(), *seed, s.bytes))
-        .collect();
-    drop(entries);
-    listed.sort_unstable();
-    listed
-}
-
-/// The first `len` instructions of a workload, materialised at most
-/// once per (workload identity, seed) process-wide. A lookup longer
-/// than the resident backing regenerates and replaces it.
-pub fn workload_trace(spec: &WorkloadSpec, seed: u64, len: usize) -> TraceHandle {
-    let data = traces().get(
-        (spec.id(), seed),
-        |t| t.instrs.len() >= len,
-        || Trace {
-            label: spec.label(),
-            instrs: spec.compile(seed).take(len).collect(),
-        },
-    );
-    TraceHandle { data, len }
-}
-
 /// Folds the first `len` instructions of the workload through every
 /// sink without pinning the trace: it is generated chunk by chunk and
 /// broadcast to the sinks ([`stream::broadcast`]), at most a few
-/// `REPRO_STREAM_CHUNK` blocks resident at a time. Each chunk boundary
-/// checks the cooperative deadline, so a cancelled extraction unwinds
-/// before anything is memoised. Every workload fold — timelines,
-/// histograms and simulated grids — goes through here.
+/// [`DEFAULT_CHUNK_INSTRUCTIONS`] blocks resident at a time. Each chunk
+/// boundary checks the cooperative deadline, so a cancelled extraction
+/// unwinds before anything is memoised. Every workload fold —
+/// timelines, histograms and simulated grids — goes through here, and
+/// so through the extract fault site.
 pub fn fold_streaming<S: stream::ChunkSink>(
     spec: &WorkloadSpec,
     seed: u64,
     len: usize,
     sinks: Vec<S>,
 ) -> Vec<S::Out> {
+    fault::check_or_unwind(Site::Extract);
     stream::broadcast(
         spec.compile(seed).take(len),
-        stream::chunk_instructions(),
+        DEFAULT_CHUNK_INSTRUCTIONS,
         sinks,
     )
 }
@@ -584,16 +499,12 @@ pub fn workload_timeline(
     len: usize,
     cache: &CacheConfig,
 ) -> Arc<MissTimeline> {
-    timelines().get(
-        (spec.id(), seed, len, *cache),
-        |_| true,
-        || {
-            let sink = MissTimelineBuilder::new(*cache);
-            fold_streaming(spec, seed, len, vec![sink])
-                .pop()
-                .expect("one fold")
-        },
-    )
+    timelines().get((spec.id(), seed, len, *cache), || {
+        let sink = MissTimelineBuilder::new(*cache);
+        fold_streaming(spec, seed, len, vec![sink])
+            .pop()
+            .expect("one fold")
+    })
 }
 
 /// The [`ReuseHistograms`] of a workload prefix, folded at most once
@@ -619,22 +530,19 @@ pub fn workload_histograms(
         max_distance,
         warmup,
     );
-    hists().get(
-        key,
-        |_| true,
-        || {
-            let hists = ReuseHistograms::new(min_line, max_line, max_distance, warmup);
-            fold_streaming(spec, seed, len, vec![hists])
-                .pop()
-                .expect("one fold")
-        },
-    )
+    hists().get(key, || {
+        let hists = ReuseHistograms::new(min_line, max_line, max_distance, warmup);
+        fold_streaming(spec, seed, len, vec![hists])
+            .pop()
+            .expect("one fold")
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::common::{figure1_cache, proxy};
+    use simtrace::Instr;
     use std::panic::AssertUnwindSafe;
     use std::time::Duration;
 
@@ -647,19 +555,6 @@ mod tests {
             long[..2_000],
             "proxy traces must be prefix-stable"
         );
-    }
-
-    #[test]
-    fn store_shares_one_backing_across_lengths() {
-        let a = workload_trace(proxy("nasa7"), 99, 1_000);
-        let b = workload_trace(proxy("nasa7"), 99, 3_000);
-        let c = workload_trace(proxy("nasa7"), 99, 2_000);
-        assert_eq!(a.instrs(), &b.instrs()[..1_000]);
-        assert_eq!(c.instrs(), &b.instrs()[..2_000]);
-        // After the 3 000-instruction materialisation, shorter requests
-        // alias the same allocation.
-        assert!(Arc::ptr_eq(&b.data, &c.data));
-        assert_eq!(a.len(), 1_000);
     }
 
     #[test]
@@ -704,13 +599,10 @@ mod tests {
         assert!(w > 0);
         // Budget for two entries: the least recently used goes first.
         let memo = private_memo(Some(2 * w));
-        memo.get(1, |_| true, &make);
-        memo.get(2, |_| true, &make);
-        assert!(
-            memo.peek(&1, |_| true).is_some(),
-            "refresh 1: 2 is now oldest"
-        );
-        memo.get(3, |_| true, &make);
+        memo.get(1, &make);
+        memo.get(2, &make);
+        assert!(memo.peek(&1).is_some(), "refresh 1: 2 is now oldest");
+        memo.get(3, &make);
         assert_eq!(resident_keys(&memo), [1, 3]);
         assert_eq!(get(&memo.evictions), 1);
         assert_eq!(get(&memo.bytes), 2 * w);
@@ -718,7 +610,7 @@ mod tests {
         // An unset budget never evicts.
         let unbounded = private_memo(None);
         for key in 1..=3 {
-            unbounded.get(key, |_| true, &make);
+            unbounded.get(key, &make);
         }
         assert_eq!(resident_keys(&unbounded), [1, 2, 3]);
         assert_eq!(get(unbounded.resident), 3 * w);
@@ -729,17 +621,19 @@ mod tests {
         // A budget that fits nothing: everything but the key being
         // handed out is evicted, and that one survives.
         let memo = private_memo(Some(0));
-        memo.get(1, |_| true, &make);
-        let handed_out = memo.get(2, |_| true, &make);
+        memo.get(1, &make);
+        let handed_out = memo.get(2, &make);
         assert_eq!(resident_keys(&memo), [2], "the handed-out entry survives");
-        assert!(Arc::ptr_eq(&handed_out, &memo.peek(&2, |_| true).unwrap()));
+        assert!(Arc::ptr_eq(&handed_out, &memo.peek(&2).unwrap()));
         assert_eq!(get(memo.resident), w);
     }
 
-    fn a_trace() -> Trace {
-        Trace {
-            label: "test".to_string(),
-            instrs: vec![Instr::plain(0u64); 100],
+    /// A test-only memo value of a fixed weight.
+    struct Blob;
+
+    impl Weigh for Blob {
+        fn weight(&self) -> u64 {
+            2_400
         }
     }
 
@@ -759,7 +653,7 @@ mod tests {
 
     #[test]
     fn budget_evicts_least_recently_used_first() {
-        evicts_lru(a_trace);
+        evicts_lru(|| Blob);
         evicts_lru(a_timeline);
         evicts_lru(a_histogram);
     }
@@ -778,30 +672,30 @@ mod tests {
         let one = a_histogram().weight();
         let memo: Memo<HistKey, ReuseHistograms> =
             Memo::new(Box::leak(Box::new(AtomicU64::new(0))), Some(2 * one));
-        memo.get(key(3), |_| true, a_histogram);
-        memo.get(key(2), |_| true, a_histogram);
-        assert!(memo.peek(&key(3), |_| true).is_some(), "refresh 3");
-        memo.get(key(1), |_| true, a_histogram);
+        memo.get(key(3), a_histogram);
+        memo.get(key(2), a_histogram);
+        assert!(memo.peek(&key(3)).is_some(), "refresh 3");
+        memo.get(key(1), a_histogram);
         assert_eq!(resident(&memo), [1, 3], "the oldest (2) goes first");
         assert_eq!(get(memo.resident), 2 * one);
 
         let memo: Memo<HistKey, ReuseHistograms> =
             Memo::new(Box::leak(Box::new(AtomicU64::new(0))), Some(0));
-        memo.get(key(2), |_| true, a_histogram);
-        memo.get(key(1), |_| true, a_histogram);
+        memo.get(key(2), a_histogram);
+        memo.get(key(1), a_histogram);
         assert_eq!(resident(&memo), [1], "the handed-out entry survives");
 
         let memo: Memo<HistKey, ReuseHistograms> =
             Memo::new(Box::leak(Box::new(AtomicU64::new(0))), None);
         for seed in 1..=3 {
-            memo.get(key(seed), |_| true, a_histogram);
+            memo.get(key(seed), a_histogram);
         }
         assert_eq!(resident(&memo), [1, 2, 3]);
     }
 
     #[test]
     fn budget_never_evicts_the_key_being_handed_out() {
-        never_evicts_the_handed_out_key(a_trace);
+        never_evicts_the_handed_out_key(|| Blob);
         never_evicts_the_handed_out_key(a_timeline);
         never_evicts_the_handed_out_key(a_histogram);
     }
@@ -809,13 +703,13 @@ mod tests {
     #[test]
     fn a_poison_recovery_returns_the_memos_bytes_to_the_shared_total() {
         let resident: &'static AtomicU64 = Box::leak(Box::new(AtomicU64::new(0)));
-        let poisoned: Memo<u32, Trace> = Memo::new(resident, Some(1 << 20));
+        let poisoned: Memo<u32, Blob> = Memo::new(resident, Some(1 << 20));
         let bystander: Memo<u32, ReuseHistograms> = Memo::new(resident, Some(1 << 20));
-        poisoned.get(1, |_| true, a_trace);
-        poisoned.get(2, |_| true, a_trace);
-        bystander.get(1, |_| true, a_histogram);
+        poisoned.get(1, || Blob);
+        poisoned.get(2, || Blob);
+        bystander.get(1, a_histogram);
         let kept = a_histogram().weight();
-        assert_eq!(get(resident), 2 * a_trace().weight() + kept);
+        assert_eq!(get(resident), 2 * Blob.weight() + kept);
         // Panic while holding the lock, as a faulted holder would.
         let _ = std::thread::scope(|s| {
             s.spawn(|| {
@@ -832,29 +726,19 @@ mod tests {
         assert_eq!(get(&poisoned.bytes), 0);
         assert_eq!(get(resident), kept, "only the bystander's bytes remain");
         // The refilled memo accounts from zero again.
-        poisoned.get(1, |_| true, a_trace);
-        assert_eq!(get(resident), a_trace().weight() + kept);
+        poisoned.get(1, || Blob);
+        assert_eq!(get(resident), Blob.weight() + kept);
     }
 
     #[test]
     fn byte_accounting_tracks_materialisations() {
+        // A memoised timeline adds its allocated bytes to the timeline
+        // total; the store never holds a trace.
         let seed = 0x5EED_0002;
-        let _t = workload_trace(proxy("hydro2d"), seed, 1_000);
-        assert!(resident_entries()
-            .iter()
-            .any(|(name, s, bytes)| name == "hydro2d"
-                && *s == seed
-                && *bytes == (1_000 * INSTR_BYTES) as u64));
-        // Longer lookups replace the backing: its bytes are re-counted,
-        // not added.
-        let _t = workload_trace(proxy("hydro2d"), seed, 3_000);
-        let listed: Vec<u64> = resident_entries()
-            .into_iter()
-            .filter(|(name, s, _)| name == "hydro2d" && *s == seed)
-            .map(|(_, _, bytes)| bytes)
-            .collect();
-        assert_eq!(listed, [(3_000 * INSTR_BYTES) as u64]);
-        assert!(stats().trace_bytes >= (3_000 * INSTR_BYTES) as u64);
+        let timeline = workload_timeline(proxy("hydro2d"), seed, 3_000, &figure1_cache(32));
+        let st = stats();
+        assert!(st.timeline_bytes >= timeline.bytes() as u64);
+        assert_eq!(st.trace_bytes, 0);
     }
 
     #[test]
@@ -889,8 +773,6 @@ mod tests {
             let direct = MissTimeline::extract(cache, spec.compile(seed).take(6_000));
             assert_eq!(*timeline, direct);
         }
-        // The fold streams: it leaves no materialised trace behind.
-        assert!(!resident_entries().iter().any(|(_, s, _)| *s == seed));
     }
 
     #[test]
@@ -978,8 +860,9 @@ mod tests {
         let named = proxy("doduc");
         let mut anon = named.clone();
         anon.name = None; // a different label, the same canonical form
-        let a = workload_trace(named, seed, 1_500);
-        let b = workload_trace(&anon, seed, 1_500);
-        assert!(Arc::ptr_eq(&a.data, &b.data), "one entry per identity");
+        let cache = figure1_cache(32);
+        let a = workload_timeline(named, seed, 1_500, &cache);
+        let b = workload_timeline(&anon, seed, 1_500, &cache);
+        assert!(Arc::ptr_eq(&a, &b), "one entry per identity");
     }
 }

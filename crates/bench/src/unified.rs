@@ -195,12 +195,6 @@ impl Experiment for Exp {
     }
 }
 
-/// Produces the full report for one figure, writing its CSV to the
-/// results directory (the historical entry point).
-pub fn main_report(cfg: UnifiedConfig) -> String {
-    crate::registry::main_report(&Exp(cfg))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -96,12 +96,6 @@ impl Experiment for Exp {
     }
 }
 
-/// Entry point shared by the binary and the suite driver (runs at
-/// the standard context and writes artifacts to the results dir).
-pub fn main_report() -> String {
-    crate::registry::main_report(&Exp)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -141,7 +135,7 @@ mod tests {
 
     #[test]
     fn render_lists_grid() {
-        let text = main_report();
+        let text = Exp.run(&RunCtx::standard()).section;
         assert!(text.contains("never"), "L/D=2 row shows no crossover");
         assert!(text.contains("β* vs doubling bus"));
     }

@@ -121,11 +121,6 @@ impl Cache {
         )
     }
 
-    #[inline]
-    fn line_of(&self, set_idx: usize, tag: u64) -> LineAddr {
-        LineAddr::new((tag << self.set_shift) | set_idx as u64)
-    }
-
     /// Index of the valid way holding `tag`, if any.
     #[inline]
     fn find_way(ways: &[Option<Way>], tag: u64) -> Option<usize> {
@@ -398,13 +393,6 @@ impl Cache {
             self.stats.writebacks += 1;
         }
         Some(writeback)
-    }
-
-    /// Convenience: returns the line address corresponding to a victim's
-    /// set and tag — exposed for tests.
-    #[doc(hidden)]
-    pub fn debug_line_of(&self, set_idx: usize, tag: u64) -> LineAddr {
-        self.line_of(set_idx, tag)
     }
 }
 

@@ -8,7 +8,7 @@
 use crate::cache::{AccessOutcome, Cache};
 use crate::config::CacheConfig;
 use crate::stats::CacheStats;
-use simtrace::{Addr, Instr, MemOp};
+use simtrace::{Instr, MemOp};
 
 /// Per-instruction cache activity.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -62,26 +62,11 @@ impl SplitCache {
         &self.dcache
     }
 
-    /// Mutable access to the data cache (e.g. to reset statistics).
-    pub fn dcache_mut(&mut self) -> &mut Cache {
-        &mut self.dcache
-    }
-
-    /// Mutable access to the instruction cache.
-    pub fn icache_mut(&mut self) -> &mut Cache {
-        &mut self.icache
-    }
-
     /// Combined statistics of both caches.
     pub fn combined_stats(&self) -> CacheStats {
         let mut s = *self.icache.stats();
         s.merge(self.dcache.stats());
         s
-    }
-
-    /// Convenience probe: is `addr` resident in the data cache?
-    pub fn data_contains(&self, addr: Addr) -> bool {
-        self.dcache.contains(addr)
     }
 }
 

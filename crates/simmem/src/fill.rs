@@ -98,12 +98,6 @@ impl FillSchedule {
         self.line
     }
 
-    /// Absolute cycle the fill started.
-    #[inline]
-    pub fn started_at(&self) -> u64 {
-        self.start
-    }
-
     /// Number of bus chunks in the line.
     #[inline]
     pub fn chunks(&self) -> u64 {

@@ -2,8 +2,7 @@
 //! (`simtrace::chunk` module docs): for every SPEC92 proxy program,
 //! arbitrary chunk sizes and arbitrary resume points, the chunked
 //! stream is bit-identical to the monolithic one. The streaming
-//! pipeline (`bench::stream`) and the `REPRO_STREAM_CHUNK` knob lean on
-//! exactly these properties.
+//! pipeline (`bench::stream`) leans on exactly these properties.
 
 use proptest::prelude::*;
 use simtrace::chunk::ChunkedTrace;

@@ -4,12 +4,12 @@
 //! See `tradeoff-cli help` for usage. Exit codes: `0` success, `1` one
 //! or more experiments failed (a `--keep-going` run still prints the
 //! partial suite document first), `2` bad usage (including a malformed
-//! `REPRO_TRACE_BUDGET` or `REPRO_STREAM_CHUNK`), `3` manifest drift or
+//! `REPRO_TRACE_BUDGET`), `3` manifest drift or
 //! artifact write failure.
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    if let Err(e) = bench::check_env() {
+    if let Err(e) = bench::tracestore::budget() {
         eprintln!("error: {e}");
         std::process::exit(2);
     }

@@ -18,7 +18,7 @@
 //! reaps idle and slow-loris connections, `--max-requests` caps one
 //! keep-alive connection. Exit codes: `0` after a graceful shutdown,
 //! `1` on bind or I/O failure, `2` on bad usage (including a malformed
-//! `REPRO_TRACE_BUDGET` or `REPRO_STREAM_CHUNK`).
+//! `REPRO_TRACE_BUDGET`).
 
 use std::time::Duration;
 use unified_tradeoff::server::{serve, ServerConfig};
@@ -111,7 +111,7 @@ fn parse(args: &[String]) -> Result<ServerConfig, String> {
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let cfg = match parse(&args).and_then(|cfg| bench::check_env().map(|()| cfg)) {
+    let cfg = match parse(&args).and_then(|cfg| bench::tracestore::budget().map(|_| cfg)) {
         Ok(cfg) => cfg,
         Err(message) => {
             eprintln!("{message}");

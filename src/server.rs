@@ -13,7 +13,7 @@
 //!   `{"query":"experiments"}` query.
 //! * `GET /stats` — request/latency counters, the overload/deadline/
 //!   containment counters, and the full [`bench::tracestore::Stats`]
-//!   snapshot.
+//!   snapshot (its `trace_*` keys always read 0).
 //! * `POST /shutdown` — graceful stop: the acceptor closes, queued and
 //!   in-flight requests drain, workers join, `serve` returns. Guarded:
 //!   with `--shutdown-token` set every caller must present the token in
@@ -355,6 +355,8 @@ impl ServerStats {
             ),
             (
                 "store",
+                // The trace_* keys always read 0 (the store memoises
+                // fold products only); they stay for existing readers.
                 Json::obj(vec![
                     ("trace_hits", Json::num(st.counts.trace_hits as f64)),
                     ("trace_misses", Json::num(st.counts.trace_misses as f64)),
@@ -365,7 +367,6 @@ impl ServerStats {
                     ),
                     ("hist_hits", Json::num(st.counts.hist_hits as f64)),
                     ("hist_misses", Json::num(st.counts.hist_misses as f64)),
-                    ("trace_evictions", Json::num(st.trace_evictions as f64)),
                     (
                         "timeline_evictions",
                         Json::num(st.timeline_evictions as f64),

@@ -128,8 +128,8 @@ fn set_conflict_model_tracks_the_sweep_within_tolerance() {
 }
 
 /// The histogram fold is chunk-invariant end to end through the
-/// streaming pipeline: any `REPRO_STREAM_CHUNK`-style partition fed
-/// through `broadcast` yields bit-identical profiles — and therefore a
+/// streaming pipeline: any chunk partition fed through `broadcast`
+/// yields bit-identical profiles — and therefore a
 /// bit-identical analytic backend.
 #[test]
 fn chunked_histogram_folds_are_bit_identical_to_whole_trace() {

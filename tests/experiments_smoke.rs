@@ -1,11 +1,18 @@
 //! Smoke tests over the experiment harness: every table/figure module
 //! produces a sane report at reduced instruction counts.
 
+use bench::registry::{Experiment, RunCtx};
 use bench::unified::{FIG3, FIG4, FIG5};
+
+/// An experiment's report section at the standard context; nothing is
+/// written to `results/`.
+fn section(exp: &dyn Experiment) -> String {
+    exp.run(&RunCtx::standard()).section
+}
 
 #[test]
 fn tables_2_and_3_render() {
-    let text = bench::table23::main_report();
+    let text = section(&bench::table23::Exp);
     assert!(text.contains("Table 2") && text.contains("Table 3"));
     assert!(text.contains("doubling bus"));
 }
@@ -21,7 +28,7 @@ fn figure1_small_run_has_ordered_curves() {
 
 #[test]
 fn figure2_report_renders_both_panels() {
-    let text = bench::fig2::main_report();
+    let text = section(&bench::fig2::Exp);
     assert_eq!(text.matches("Figure 2").count(), 2);
     assert!(text.contains("L=8") && text.contains("L=32"));
 }
@@ -38,7 +45,7 @@ fn unified_figures_render() {
 
 #[test]
 fn figure6_report_validates() {
-    let text = bench::fig6::main_report();
+    let text = section(&bench::fig6::Exp);
     assert!(text.contains("(a)") && text.contains("(d)"));
     assert!(
         !text.contains("false"),
@@ -48,8 +55,8 @@ fn figure6_report_validates() {
 
 #[test]
 fn example1_crossover_linesize_validate_render() {
-    assert!(bench::example1::main_report().contains("Case 2"));
-    assert!(bench::xover::main_report().contains("never"));
+    assert!(section(&bench::example1::Exp).contains("Case 2"));
+    assert!(section(&bench::xover::Exp).contains("never"));
     let v = bench::validate::run(4_000);
     assert!(v.iter().all(|r| r.rel_error < 1e-9));
 }

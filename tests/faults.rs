@@ -14,6 +14,7 @@ use bench::{tracestore, Error};
 use simtrace::workload::builtin;
 use std::fs;
 use std::path::PathBuf;
+use std::sync::Arc;
 use std::time::Duration;
 
 fn tmp_dir(tag: &str) -> PathBuf {
@@ -141,20 +142,23 @@ fn a_poisoned_store_lock_is_recovered_and_retried() {
 }
 
 #[test]
-fn an_extract_fault_neither_poisons_the_store_nor_drops_its_traces() {
-    // assumptions materialises its traces through `workload_trace`; the
-    // fault fires on the first cold generation. Generation runs outside
-    // the store lock, so the unwind must leave the lock unpoisoned and
-    // every resident trace in place, and the retry must succeed.
+fn an_extract_fault_neither_poisons_the_store_nor_drops_its_timelines() {
+    // validate folds one timeline per program, and every fold starts at
+    // the extract site. The fold runs outside the store lock, so the
+    // unwind must leave the lock unpoisoned and every memoised timeline
+    // in place, and the retry must succeed.
     let spec = builtin("ear").expect("a builtin");
     let seed = 0x5EED_F417; // unique to this test
-    let _armed = fault::arm(FaultPlan::new().with(Site::Extract, "assumptions", FaultKind::Io, 1));
-    let pinned = tracestore::workload_trace(spec, seed, 1_000);
+    let cache = bench::common::figure1_cache(32);
+    // Armed first: arming serialises the fault tests, so no other
+    // test's poison recovery can clear the pinned entry.
+    let _armed = fault::arm(FaultPlan::new().with(Site::Extract, "validate", FaultKind::Io, 1));
+    let pinned = tracestore::workload_timeline(spec, seed, 1_000, &cache);
     let before = tracestore::poison_recoveries();
-    // Longer than any other test's run, so the traces are cold.
+    // An instruction count no other test uses, so the timelines are cold.
     let run = run_suite(
-        &bench::registry::matching("assumptions"),
-        &fast_retry(SuiteOptions::new(1, RunCtx::with_instructions(4_000)).with_timeout(None)),
+        &bench::registry::matching("validate"),
+        &fast_retry(SuiteOptions::new(1, RunCtx::with_instructions(4_321)).with_timeout(None)),
     );
     assert_eq!(run.outcomes[0].status(), "retried(1)");
     assert_eq!(
@@ -162,7 +166,8 @@ fn an_extract_fault_neither_poisons_the_store_nor_drops_its_traces() {
         before,
         "an extract fault must not poison the store"
     );
-    let bytes = (pinned.instrs().len() * simtrace::INSTR_BYTES) as u64;
-    let survives = tracestore::resident_entries().contains(&(spec.label(), seed, bytes));
-    assert!(survives, "the pinned trace survives");
+    let hits = tracestore::counters().timeline_hits;
+    let again = tracestore::workload_timeline(spec, seed, 1_000, &cache);
+    assert!(Arc::ptr_eq(&pinned, &again), "the pinned timeline survives");
+    assert!(tracestore::counters().timeline_hits > hits, "and is a hit");
 }

@@ -675,28 +675,3 @@ fn a_malformed_trace_budget_is_a_usage_error() {
     assert!(String::from_utf8_lossy(&cli.stderr).contains("REPRO_TRACE_BUDGET"));
     assert!(cli.stdout.is_empty());
 }
-
-#[test]
-fn a_malformed_stream_chunk_is_a_usage_error() {
-    let server = Command::new(env!("CARGO_BIN_EXE_tradeoff-server"))
-        .args(["--addr", "127.0.0.1:0"])
-        .env("REPRO_STREAM_CHUNK", "0")
-        .stdout(Stdio::null())
-        .stderr(Stdio::piped())
-        .spawn()
-        .expect("server binary spawns");
-    let (status, stderr) = exit_within(server, Duration::from_secs(30));
-    assert_eq!(status.code(), Some(2), "{stderr}");
-    assert!(stderr.contains("REPRO_STREAM_CHUNK"), "{stderr}");
-
-    for bad in ["0", "abc"] {
-        let cli = Command::new(env!("CARGO_BIN_EXE_tradeoff-cli"))
-            .args(["experiments", "list"])
-            .env("REPRO_STREAM_CHUNK", bad)
-            .output()
-            .expect("cli binary runs");
-        assert_eq!(cli.status.code(), Some(2), "{bad}");
-        assert!(String::from_utf8_lossy(&cli.stderr).contains("REPRO_STREAM_CHUNK"));
-        assert!(cli.stdout.is_empty());
-    }
-}

@@ -129,17 +129,21 @@ fn streamed_suite_survives_an_armed_fault_plan_byte_identically() {
     };
     assert!(!faulted_serial.has_failures(), "faults retried, not fatal");
     assert!(faulted_serial.degraded());
+    // The sweep's own fold reaches the extract site: its fault fires
+    // and is retried, under any worker count.
+    for run in [&faulted_serial, &faulted_parallel] {
+        let sweep = run.outcomes.iter().find(|o| o.id == "sweep").unwrap();
+        assert_eq!(sweep.status(), "retried(1)");
+    }
     assert_eq!(clean.document(), faulted_serial.document());
     assert_eq!(clean.document(), faulted_parallel.document());
 }
 
 #[test]
 fn folds_and_artifacts_are_chunk_size_invariant() {
-    // Chunk partitioning (the REPRO_STREAM_CHUNK knob) must be
-    // invisible in every folded stat: compare broadcast folds at
-    // several chunk sizes against the whole-trace oracle. Env vars are
-    // process-global, so the sizes are driven through the pipeline
-    // directly rather than by mutating the environment.
+    // Chunk partitioning must be invisible in every folded stat:
+    // compare broadcast folds at several chunk sizes against the
+    // whole-trace oracle.
     let whole: Vec<Instr> = proxy("nasa7").compile(SWEEP_SEED).take(N).collect();
     let mut oracle = StackDistSweep::new_range(32, 4, 7, 2, 500).unwrap();
     for instr in &whole {

@@ -15,7 +15,7 @@ use simtrace::Instr;
 
 /// The pinned content hashes of the six built-in proxy specs. These are
 /// SHA-256 over the canonical JSON rendering; a drift here means every
-/// memoised trace, timeline and histogram key changes — treat it as a
+/// memoised timeline and histogram key changes — treat it as a
 /// breaking change, not a test to update casually.
 const PINNED_IDS: [(&str, &str); 6] = [
     (
@@ -65,7 +65,7 @@ const LONG: usize = 200_000;
 
 /// SHA-256 digests of the first `len` instructions each built-in
 /// compiles to, as `(name, seed, len, digest)` ([`stream_digest`]).
-/// Every memoised trace, timeline and histogram — and so every
+/// Every memoised timeline and histogram — and so every
 /// committed artifact — is a function of these streams; a drift here is
 /// a breaking change, like a drift in [`PINNED_IDS`].
 #[rustfmt::skip]
